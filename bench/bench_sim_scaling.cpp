@@ -56,10 +56,8 @@ struct SimResult {
     double errY = 0.0;
 };
 
-SimResult runAt(Compilation& c, int threads,
-                SimEngine engine = SimEngine::Bytecode) {
-    auto sim =
-        c.simulate({.threads = threads, .seed = seedTomcatv, .engine = engine});
+SimResult runAt(Compilation& c, int threads) {
+    auto sim = c.simulate({.threads = threads, .seed = seedTomcatv});
     SimResult r;
     r.wall = sim->wallSec();
     r.transfers = sim->elementTransfers();
@@ -71,16 +69,16 @@ SimResult runAt(Compilation& c, int threads,
     return r;
 }
 
-void requireIdentical(const SimResult& base, const SimResult& r, int threads,
-                      const char* what) {
+void requireIdentical(const SimResult& base, const SimResult& r,
+                      int threads) {
     if (r.transfers == base.transfers && r.events == base.events &&
         r.procStmts == base.procStmts && r.imbalance == base.imbalance &&
         r.errX == base.errX && r.errY == base.errY)
         return;
     std::fprintf(stderr,
-                 "FATAL: %s diverged at %d threads "
+                 "FATAL: simulation diverged at %d threads "
                  "(transfers %lld vs %lld, events %lld vs %lld)\n",
-                 what, threads, static_cast<long long>(r.transfers),
+                 threads, static_cast<long long>(r.transfers),
                  static_cast<long long>(base.transfers),
                  static_cast<long long>(r.events),
                  static_cast<long long>(base.events));
@@ -111,23 +109,16 @@ void printTable() {
     printHeader(
         "SPMD simulator scaling: TOMCATV Replication  ((*,block), n = " +
             std::to_string(kN) + ", 16 procs) — simulated-run wall sec "
-            "per lockstep thread count (bytecode engine; interp column "
-            "for the same thread count alongside)",
-        {"wall_sec", "speedup_vs_1t", "wall_interp_sec", "engine_speedup"});
+            "per lockstep thread count",
+        {"wall_sec", "speedup_vs_1t"});
     SimResult base;
     for (const int t : counts) {
         const SimResult r = runAt(c, t);
-        // Cross-engine gate: at every thread count the tree-walking
-        // interpreter and the bytecode VM must agree bit for bit in
-        // results and every metric, or the engine column is meaningless.
-        const SimResult ri = runAt(c, t, SimEngine::Interp);
-        requireIdentical(r, ri, t, "interp engine vs bytecode engine");
         if (t == 1)
             base = r;
         else
-            requireIdentical(base, r, t, "simulation");
-        printRow(t, {r.wall, t == 1 ? 1.0 : base.wall / r.wall, ri.wall,
-                     ri.wall / r.wall});
+            requireIdentical(base, r, t);
+        printRow(t, {r.wall, t == 1 ? 1.0 : base.wall / r.wall});
     }
     std::printf("\n");
 }

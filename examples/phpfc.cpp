@@ -160,8 +160,6 @@ void usage() {
                  "             [--target=mp|shm]  (mp = SP2 message "
                  "passing, default;\n"
                  "              shm = shared-memory OpenMP-style SMP)\n"
-                 "             [--sim-engine=interp|bytecode]  (default "
-                 "bytecode; bit-identical)\n"
                  "             [--relaxed-merge]  (commutative reduction "
                  "merges, unordered)\n"
                  "             [--faults=SPEC] [--retry=N] "
@@ -480,14 +478,6 @@ int main(int argc, char** argv) {
             if (!parseExecSelection("target", arg.substr(9), &selection)) {
                 std::fprintf(stderr, "phpfc: bad --target '%s' (want mp|shm)\n",
                              arg.substr(9).c_str());
-                return 2;
-            }
-        } else if (startsWith(arg, "--sim-engine=")) {
-            if (!parseExecSelection("engine", arg.substr(13), &selection)) {
-                std::fprintf(stderr,
-                             "phpfc: bad --sim-engine '%s' "
-                             "(want interp|bytecode)\n",
-                             arg.substr(13).c_str());
                 return 2;
             }
         } else if (arg == "--relaxed-merge")

@@ -39,14 +39,6 @@ program relax
 end
 )";
 
-const char* variantName(int v) {
-    switch (v) {
-        case 0: return "replication";
-        case 1: return "producer alignment";
-        default: return "selected alignment";
-    }
-}
-
 MappingOptions variantOpts(int v) {
     MappingOptions m;
     if (v == 0) m.privatization = false;

@@ -17,12 +17,12 @@ namespace phpf::cluster {
 /// (or treated) as ErrorCode::StaleWorker — a restarted or out-of-date
 /// peer must be discarded and the job re-routed, never half-parsed.
 ///
-///   POST /compile              body: {"v":1, "job": {<jobs-file row>}}
+///   POST /compile              body: {"v":2, "job": {<jobs-file row>}}
 ///   GET  /artifact/<key>       no body
 ///
 /// Both answer a response document:
 ///
-///   {"v":1, "worker": "<id>", "status": "ok", "code": "none",
+///   {"v":2, "worker": "<id>", "status": "ok", "code": "none",
 ///    "cache_hit": true, "error": "",
 ///    "artifact": {"key": ..., "program": ..., "spmd": ...,
 ///                 "decisions": ..., "cost": {...},
@@ -31,8 +31,9 @@ namespace phpf::cluster {
 /// The request payload is exactly the jobs-file row schema
 /// (service::parseBatchJob / batchJobToJson with every option key
 /// explicit), so the cluster and the batch runner share one codec and
-/// a wire request can be pasted into a jobs file verbatim.
-inline constexpr int kWireVersion = 1;
+/// a wire request can be pasted into a jobs file verbatim. Version 2
+/// dropped the retired simulator-engine option from the job encoding.
+inline constexpr int kWireVersion = 2;
 
 /// W3C-traceparent-style distributed trace context: 128-bit trace id,
 /// 64-bit parent span id, sampled flag. The coordinator stamps one on

@@ -21,11 +21,11 @@ std::unique_ptr<SpmdSimulator> Compilation::simulate(
     if (req.maxAttempts > 0) recovery.transport.maxAttempts = req.maxAttempts;
     if (req.maxRecoveries > 0) recovery.maxRecoveries = req.maxRecoveries;
     recovery.cancel = req.cancel;
-    const SimEngine engine = req.engine.value_or(passes_.simEngine);
     const bool relaxed = req.relaxedMerge.value_or(passes_.relaxedMerge);
     auto sim = std::make_unique<SpmdSimulator>(*lowering_, elemBytes, threads,
-                                               std::move(recovery), engine,
-                                               relaxed, target_.targetKind);
+                                               std::move(recovery),
+                                               SimEngine::Bytecode, relaxed,
+                                               target_.targetKind);
     sim->setTelemetry(req.metrics, req.ctracer);
     if (req.profile) sim->enableProfiling();
     if (req.seed) req.seed(sim->oracle());

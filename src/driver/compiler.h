@@ -33,7 +33,7 @@ struct SimulationRequest {
     int elemBytes = 0;
     /// Seeds the simulator's sequential oracle before the run (input
     /// arrays default to zero otherwise).
-    std::function<void(Interpreter&)> seed;
+    std::function<void(Interpreter&)> seed = {};
     /// Span destination for the sim-exec span. When null, spans go to
     /// the compilation's own tracer — fine for a privately owned
     /// Compilation, but a Compilation shared read-only across threads
@@ -70,13 +70,9 @@ struct SimulationRequest {
     /// adds the schema-v3 "profile" and "calibration" sections, and the
     /// service caches both with the artifact.
     bool profile = false;
-    /// Execution engine override: unset inherits the compilation's
-    /// PassOptions::simEngine (default bytecode). Strict-mode results
-    /// and metrics are bit-identical across engines.
-    std::optional<SimEngine> engine;
     /// Relaxed reduction-merge override: unset inherits
     /// PassOptions::relaxedMerge (default off / strict).
-    std::optional<bool> relaxedMerge;
+    std::optional<bool> relaxedMerge = {};
 };
 
 /// Everything one compilation produced, immutable once the pipeline

@@ -50,11 +50,7 @@ struct PassOptions {
     /// concurrency). Simulation results and metrics are independent of
     /// the value.
     int simThreads = 0;
-    /// Default execution engine of the SPMD simulator. Both engines
-    /// produce bit-identical results and metrics in strict mode, but
-    /// the engine IS part of the artifact identity (the service
-    /// fingerprints it), so it lives here rather than next to
-    /// simThreads' "never affects results" carve-out.
+    /// Unused; see runtime/engine.h.
     SimEngine simEngine = SimEngine::Bytecode;
     /// Relaxed reduction-merge mode: commutative reduction combines
     /// (SUM/MAX/MIN) merge per-processor accumulator copies in any
@@ -88,39 +84,33 @@ struct CompileSession {
 };
 
 /// The execution-selection block: every "which implementation runs
-/// this" choice gathered in one enum-backed struct instead of three
-/// ad-hoc string switches. This is the single surface the CLI
-/// (`--target=`, `--sim-engine=`, `--relaxed-merge`), the batch jobs
-/// file (`target`, `sim_engine`, `relaxed_merge` option keys), and the
-/// report all speak; parseExecSelection / printExecSelection round-trip
+/// this" choice gathered in one enum-backed struct instead of ad-hoc
+/// string switches. This is the single surface the CLI (`--target=`,
+/// `--relaxed-merge`), the batch jobs file (`target`, `relaxed_merge`
+/// option keys), and the report all speak; parseExecSelection / printExecSelection round-trip
 /// it, and applyTo/selectionOf move it in and out of
 /// TargetConfig/PassOptions.
 struct ExecSelection {
     TargetKind target = TargetKind::MessagePassing;
-    SimEngine engine = SimEngine::Bytecode;
     bool relaxedMerge = false;
 
     void applyTo(TargetConfig* t, PassOptions* p) const {
         t->targetKind = target;
-        p->simEngine = engine;
         p->relaxedMerge = relaxedMerge;
     }
 
     [[nodiscard]] static ExecSelection selectionOf(const TargetConfig& t,
                                                    const PassOptions& p) {
-        return {t.targetKind, p.simEngine, p.relaxedMerge};
+        return {t.targetKind, p.relaxedMerge};
     }
 
-    friend bool operator==(const ExecSelection& a, const ExecSelection& b) {
-        return a.target == b.target && a.engine == b.engine &&
-               a.relaxedMerge == b.relaxedMerge;
-    }
+    friend bool operator==(const ExecSelection& a,
+                           const ExecSelection& b) = default;
 };
 
 /// Set one selection key on `sel`. Keys and values (the canonical CLI /
 /// jobs-file spellings):
 ///   "target"        = "mp" | "shm"
-///   "engine"        = "interp" | "bytecode"  ("sim_engine" accepted)
 ///   "relaxed_merge" = "on" | "off" | "true" | "false" | "1" | "0"
 /// Returns false (leaving `sel` untouched) on an unknown key or a bad
 /// value.
@@ -131,12 +121,6 @@ struct ExecSelection {
         TargetKind k;
         if (!parseTargetKind(value, &k)) return false;
         sel->target = k;
-        return true;
-    }
-    if (key == "engine" || key == "sim_engine") {
-        SimEngine e;
-        if (!parseSimEngine(value, &e)) return false;
-        sel->engine = e;
         return true;
     }
     if (key == "relaxed_merge") {
@@ -151,15 +135,12 @@ struct ExecSelection {
     return false;
 }
 
-/// Canonical one-line form, e.g. "target=mp,engine=bytecode,
-/// relaxed_merge=off". parseExecSelectionList() accepts exactly this
+/// Canonical one-line form, e.g. "target=mp,relaxed_merge=off". parseExecSelectionList() accepts exactly this
 /// (any subset of comma-separated key=value pairs), so print → parse is
 /// a lossless round trip; tests and the report rely on that.
 [[nodiscard]] inline std::string printExecSelection(const ExecSelection& sel) {
     std::string s = "target=";
     s += targetKindName(sel.target);
-    s += ",engine=";
-    s += simEngineName(sel.engine);
     s += ",relaxed_merge=";
     s += sel.relaxedMerge ? "on" : "off";
     return s;

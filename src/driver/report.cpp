@@ -32,7 +32,6 @@ const char* severityName(DiagSeverity s) {
 obs::Json optionsJson(const TargetConfig& t, const PassOptions& po) {
     obs::Json j = obs::Json::object();
     j.set("target", targetKindName(t.targetKind));
-    j.set("engine", simEngineName(po.simEngine));
     j.set("relaxed_merge", po.relaxedMerge);
     j.set("selection",
           printExecSelection(ExecSelection::selectionOf(t, po)));
@@ -72,7 +71,6 @@ obs::Json simulationJson(const SpmdSimulator& sim, const SpmdLowering& low) {
     j.set("target", targetKindName(sim.targetKind()));
     j.set("proc_count", sim.procCount());
     j.set("threads", sim.threads());
-    j.set("engine", simEngineName(sim.engine()));
     j.set("relaxed_merge", sim.relaxedMerge());
     j.set("wall_sec", sim.wallSec());
     j.set("parallel_speedup_est", sim.parallelSpeedupEst());

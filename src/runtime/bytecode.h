@@ -55,9 +55,7 @@ struct Chunk {
 };
 
 /// One VarRef/ArrayRef the compiled expression reads in value position,
-/// in depth-first order — the same order SpmdSimulator's interp engine
-/// collects its fetchRefs, so either engine sees the identical fetch
-/// sequence.
+/// in depth-first order — the order Interpreter::eval reads them.
 struct FetchSlot {
     const Expr* ref = nullptr;
     SymbolId sym = kNoSymbol;

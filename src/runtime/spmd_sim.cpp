@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <numeric>
 
 #include "ir/printer.h"
@@ -37,25 +38,6 @@ void forEachGridProc(const GridSet& gs, const ProcGrid& grid,
             coords[static_cast<size_t>(d)] = 0;
         }
         if (d < 0) return;
-    }
-}
-
-/// VarRef/ArrayRef nodes of `e` read in value position (ArrayRef
-/// subscripts resolve on the oracle and are never fetched).
-void collectFetchRefs(const Expr* e, std::vector<const Expr*>& out) {
-    switch (e->kind) {
-        case ExprKind::IntLit:
-        case ExprKind::RealLit:
-            return;
-        case ExprKind::VarRef:
-        case ExprKind::ArrayRef:
-            out.push_back(e);
-            return;
-        case ExprKind::Unary:
-        case ExprKind::Binary:
-        case ExprKind::Call:
-            for (const Expr* a : e->args) collectFetchRefs(a, out);
-            return;
     }
 }
 
@@ -99,13 +81,13 @@ private:
 
 SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
                              int threads, SimRecoveryConfig recovery,
-                             SimEngine engine, bool relaxedMerge,
+                             SimEngine, bool relaxedMerge,
                              TargetKind targetKind)
     : low_(low), prog_(low.program()), oracle_(prog_),
       procCount_(low.dataMapping().grid().totalProcs()),
       elemBytes_(elemBytes),
       threads_(resolveThreadCount(threads, procCount_)),
-      engine_(engine), relaxed_(relaxedMerge), targetKind_(targetKind) {
+      relaxed_(relaxedMerge), targetKind_(targetKind) {
     rcfg_ = std::move(recovery);
     if (rcfg_.faults != nullptr && rcfg_.faults->enabled()) {
         const FaultInjector& inj = *rcfg_.faults;
@@ -122,7 +104,6 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
     // Control frames are needed exactly when a checkpoint can be taken.
     trackCtrl_ = crashSite_ != nullptr || rcfg_.checkpointEvery > 0;
     boundaryArmed_ = trackCtrl_ || rcfg_.cancel.armed();
-    procStore_.assign(static_cast<size_t>(procCount_), Store(prog_));
     procMetrics_.assign(static_cast<size_t>(procCount_), ProcSimMetrics{});
     execDelta_.assign(static_cast<size_t>(procCount_), 0);
     if (threads_ > 1)
@@ -133,7 +114,6 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
     std::iota(allProcs_.begin(), allProcs_.end(), 0);
     singleProcScratch_.assign(1, 0);
     flagsScratch_.assign(static_cast<size_t>(procCount_), 0);
-    refFlat_.assign(static_cast<size_t>(prog_.exprCount()), 0);
 
     const size_t nOps = low_.commOps().size();
     opStamp_.assign(std::max<size_t>(nOps, 1), 0);
@@ -155,29 +135,27 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
     }
     combineInit_.assign(nOps, 0.0);
     buildPlans();
-    if (engine_ == SimEngine::Bytecode) {
-        size_t maxSlots = 1;
-        for (const StmtPlan& p : plans_)
-            maxSlots = std::max(maxSlots, p.code.slots.size());
-        slotFlat_.assign(maxSlots, 0);
-        slotRow_.assign(maxSlots, 0);
-        slotElem_.assign(maxSlots, 0);
-        slotMissV_.assign(maxSlots, 0.0);
-        slotMissSrc_.assign(maxSlots, -1);
-        slotMissResolved_.assign(maxSlots, 0);
-        slotAllValid_.assign(maxSlots, 0);
-        const size_t lanes = static_cast<size_t>(procCount_) *
-                             static_cast<size_t>(procStore_[0].totalElems());
-        soa_.assign(lanes, 0.0);
-        soaValid_.assign(lanes, 0);
-        oracleRegs_.assign(static_cast<size_t>(std::max(maxRegs_, 1)), 0.0);
-        // SoA lane banks: one bank of procCount doubles per register,
-        // per worker (a worker's lane chunk never exceeds procCount).
-        for (WorkerScratch& w : workers_)
-            w.regs.assign(static_cast<size_t>(std::max(maxRegs_, 1)) *
-                              static_cast<size_t>(procCount_),
-                          0.0);
-    }
+    size_t maxSlots = 1;
+    for (const StmtPlan& p : plans_)
+        maxSlots = std::max(maxSlots, p.code.slots.size());
+    slotFlat_.assign(maxSlots, 0);
+    slotRow_.assign(maxSlots, 0);
+    slotElem_.assign(maxSlots, 0);
+    slotMissV_.assign(maxSlots, 0.0);
+    slotMissSrc_.assign(maxSlots, -1);
+    slotMissResolved_.assign(maxSlots, 0);
+    slotAllValid_.assign(maxSlots, 0);
+    const size_t lanes = static_cast<size_t>(procCount_) *
+                         static_cast<size_t>(oracle_.store().totalElems());
+    soa_.assign(lanes, 0.0);
+    soaValid_.assign(lanes, 0);
+    oracleRegs_.assign(static_cast<size_t>(std::max(maxRegs_, 1)), 0.0);
+    // SoA lane banks: one bank of procCount doubles per register, per
+    // worker (a worker's lane chunk never exceeds procCount).
+    for (WorkerScratch& w : workers_)
+        w.regs.assign(static_cast<size_t>(std::max(maxRegs_, 1)) *
+                          static_cast<size_t>(procCount_),
+                      0.0);
 }
 
 void SpmdSimulator::setTelemetry(obs::MetricRegistry* metrics,
@@ -206,9 +184,6 @@ void SpmdSimulator::buildPlans() {
             case StmtKind::Assign:
             case StmtKind::If: {
                 plan.exec = &low_.execOf(s);
-                collectFetchRefs(s->kind == StmtKind::Assign ? s->rhs
-                                                             : s->cond,
-                                 plan.fetchRefs);
                 if (plan.exec->guard != StmtExec::Guard::Union) break;
                 // Section 2.1 / 4: executed by the union of all
                 // processors executing any other statement inside the
@@ -247,8 +222,7 @@ void SpmdSimulator::buildPlans() {
             case StmtKind::Continue:
                 break;
         }
-        if (engine_ == SimEngine::Bytecode &&
-            (s->kind == StmtKind::Assign || s->kind == StmtKind::If)) {
+        if (s->kind == StmtKind::Assign || s->kind == StmtKind::If) {
             plan.code = bc::compileStmt(prog_, s, plan.exec, plan.unionSrcs,
                                         bcArena_);
             vm::validate(plan.code.value,
@@ -280,7 +254,6 @@ void SpmdSimulator::buildPlans() {
             }
         }
     });
-    if (engine_ != SimEngine::Bytecode) return;
     // Lane-uniformity analysis. A symbol is *divergent* when valid
     // per-processor copies of it may differ from the oracle's value:
     // reduction accumulators (each processor accumulates privately),
@@ -306,8 +279,9 @@ void SpmdSimulator::buildPlans() {
         prog_.forEachStmt([&](const Stmt* s) {
             if (s->kind != StmtKind::Assign) return;
             if (divergent[static_cast<size_t>(s->lhs->sym)] != 0) return;
-            for (const Expr* r : plans_[static_cast<size_t>(s->id)].fetchRefs) {
-                if (divergent[static_cast<size_t>(r->sym)] == 0) continue;
+            for (const bc::FetchSlot& r :
+                 plans_[static_cast<size_t>(s->id)].code.slots) {
+                if (divergent[static_cast<size_t>(r.sym)] == 0) continue;
                 divergent[static_cast<size_t>(s->lhs->sym)] = 1;
                 changed = true;
                 break;
@@ -318,33 +292,10 @@ void SpmdSimulator::buildPlans() {
         if (s->kind != StmtKind::Assign && s->kind != StmtKind::If) return;
         StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
         bool uniform = !plan.isReductionAcc;
-        for (const Expr* r : plan.fetchRefs)
-            if (divergent[static_cast<size_t>(r->sym)] != 0) uniform = false;
+        for (const bc::FetchSlot& r : plan.code.slots)
+            if (divergent[static_cast<size_t>(r.sym)] != 0) uniform = false;
         plan.laneUniform = uniform;
     });
-}
-
-void SpmdSimulator::evalDescInto(const RefDesc& desc, GridSet& out) const {
-    const ProcGrid& grid = low_.dataMapping().grid();
-    out.coord.assign(static_cast<size_t>(grid.rank()), -1);
-    for (int g = 0; g < grid.rank(); ++g) {
-        const RefDim& dim = desc.dims[static_cast<size_t>(g)];
-        switch (dim.kind) {
-            case RefDim::Kind::Replicated:
-                break;
-            case RefDim::Kind::Fixed:
-                out.coord[static_cast<size_t>(g)] = dim.fixedCoord;
-                break;
-            case RefDim::Kind::Partitioned: {
-                PHPF_ASSERT(dim.subscriptExpr != nullptr,
-                            "partitioned dim without subscript expr");
-                const std::int64_t v = oracle_.evalIndex(dim.subscriptExpr);
-                out.coord[static_cast<size_t>(g)] =
-                    dim.dist.ownerOf(v + dim.offset);
-                break;
-            }
-        }
-    }
 }
 
 void SpmdSimulator::evalDescIntoBc(const RefDesc& desc,
@@ -394,22 +345,18 @@ int SpmdSimulator::singleProcOfBc(const RefDesc& desc,
 const std::vector<int>& SpmdSimulator::executorsOf(const Stmt* s) {
     const StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
     const ProcGrid& grid = low_.dataMapping().grid();
-    const bool bcMode = engine_ == SimEngine::Bytecode;
     switch (plan.exec->guard) {
         case StmtExec::Guard::All:
             return allProcs_;
         case StmtExec::Guard::OwnerOf:
-            if (bcMode && plan.execSingleton) {
+            if (plan.execSingleton) {
                 singleProcScratch_[0] =
                     singleProcOfBc(plan.exec->execDesc, plan.code.execIndex);
                 return singleProcScratch_;
             }
             execsScratch_.clear();
-            if (bcMode)
-                evalDescIntoBc(plan.exec->execDesc, plan.code.execIndex,
-                               gsScratch_);
-            else
-                evalDescInto(plan.exec->execDesc, gsScratch_);
+            evalDescIntoBc(plan.exec->execDesc, plan.code.execIndex,
+                           gsScratch_);
             forEachGridProc(gsScratch_, grid, coordsScratch_, [&](int p) {
                 execsScratch_.push_back(p);
                 return true;
@@ -419,11 +366,8 @@ const std::vector<int>& SpmdSimulator::executorsOf(const Stmt* s) {
             if (plan.unionSrcs.empty()) return allProcs_;
             std::fill(flagsScratch_.begin(), flagsScratch_.end(), 0);
             for (size_t i = 0; i < plan.unionSrcs.size(); ++i) {
-                const RefDesc* d = plan.unionSrcs[i];
-                if (bcMode)
-                    evalDescIntoBc(*d, plan.code.unionIndex[i], gsScratch_);
-                else
-                    evalDescInto(*d, gsScratch_);
+                evalDescIntoBc(*plan.unionSrcs[i], plan.code.unionIndex[i],
+                               gsScratch_);
                 forEachGridProc(gsScratch_, grid, coordsScratch_, [&](int p) {
                     flagsScratch_[static_cast<size_t>(p)] = 1;
                     return true;
@@ -452,108 +396,6 @@ void SpmdSimulator::noteEvent(const CommOp* op) {
         if (targetKind_ == TargetKind::SharedMemory) ++barrierEvents_;
         if (profile_ != nullptr) profile_->addEvent();
     }
-}
-
-double SpmdSimulator::fetchW(WorkerScratch& w, int proc, const Expr* ref,
-                             std::int64_t flat) {
-    const Store& st = procStore_[static_cast<size_t>(proc)];
-    if (st.valid(ref->sym, flat)) return st.get(ref->sym, flat);
-    // A copy this processor already fetched earlier in the same phase
-    // (store writes are deferred to the barrier).
-    for (const PendingWrite& pw : w.pending)
-        if (pw.proc == proc && pw.sym == ref->sym && pw.flat == flat)
-            return pw.v;
-
-    const CommOp* op = opByRef_[static_cast<size_t>(ref->id)];
-    PHPF_ASSERT(op != nullptr,
-                "processor " + std::to_string(proc) +
-                    " reads unavailable data with no communication op: " +
-                    printExpr(prog_, ref) + " (program " + prog_.name + ")");
-    // Locate a processor holding the value: the descriptor's owner set,
-    // falling back to a scan (stale-free by construction: writes
-    // invalidate every non-executing copy). All stores are read-only
-    // within a phase, so cross-processor reads are race-free.
-    const ProcGrid& grid = low_.dataMapping().grid();
-    evalDescInto(op->srcDesc, w.gs);
-    double v = 0.0;
-    int src = -1;
-    forEachGridProc(w.gs, grid, w.coords, [&](int p) {
-        const Store& owner = procStore_[static_cast<size_t>(p)];
-        if (!owner.valid(ref->sym, flat)) return true;
-        v = owner.get(ref->sym, flat);
-        src = p;
-        return false;
-    });
-    PHPF_ASSERT(src >= 0, "no owner holds a valid copy of " +
-                              printExpr(prog_, ref) + " in program " +
-                              prog_.name);
-    w.pending.push_back(PendingWrite{proc, ref->sym, flat, v});
-    w.misses.push_back(MissRecord{op, proc, src});
-    return v;
-}
-
-double SpmdSimulator::evalOnW(WorkerScratch& w, int proc, const Expr* e) {
-    switch (e->kind) {
-        case ExprKind::IntLit:
-            return static_cast<double>(e->ival);
-        case ExprKind::RealLit:
-            return e->rval;
-        case ExprKind::VarRef:
-        case ExprKind::ArrayRef:
-            return fetchW(w, proc, e);
-        case ExprKind::Unary: {
-            const double a = evalOnW(w, proc, e->args[0]);
-            return e->uop == UnaryOp::Neg ? -a : (a != 0.0 ? 0.0 : 1.0);
-        }
-        case ExprKind::Binary: {
-            const double a = evalOnW(w, proc, e->args[0]);
-            const double b = evalOnW(w, proc, e->args[1]);
-            switch (e->bop) {
-                case BinaryOp::Add: return a + b;
-                case BinaryOp::Sub: return a - b;
-                case BinaryOp::Mul: return a * b;
-                case BinaryOp::Div: return a / b;
-                case BinaryOp::Pow: return std::pow(a, b);
-                case BinaryOp::Lt: return a < b ? 1.0 : 0.0;
-                case BinaryOp::Le: return a <= b ? 1.0 : 0.0;
-                case BinaryOp::Gt: return a > b ? 1.0 : 0.0;
-                case BinaryOp::Ge: return a >= b ? 1.0 : 0.0;
-                case BinaryOp::Eq: return a == b ? 1.0 : 0.0;
-                case BinaryOp::Ne: return a != b ? 1.0 : 0.0;
-                case BinaryOp::And:
-                    return (a != 0.0 && b != 0.0) ? 1.0 : 0.0;
-                case BinaryOp::Or:
-                    return (a != 0.0 || b != 0.0) ? 1.0 : 0.0;
-            }
-            return 0.0;
-        }
-        case ExprKind::Call: {
-            switch (e->fn) {
-                case Intrinsic::Abs:
-                    return std::abs(evalOnW(w, proc, e->args[0]));
-                case Intrinsic::Max:
-                    return std::max(evalOnW(w, proc, e->args[0]),
-                                    evalOnW(w, proc, e->args[1]));
-                case Intrinsic::Min:
-                    return std::min(evalOnW(w, proc, e->args[0]),
-                                    evalOnW(w, proc, e->args[1]));
-                case Intrinsic::Sqrt:
-                    return std::sqrt(evalOnW(w, proc, e->args[0]));
-                case Intrinsic::Mod:
-                    return std::fmod(evalOnW(w, proc, e->args[0]),
-                                     evalOnW(w, proc, e->args[1]));
-                case Intrinsic::Sign: {
-                    const double a = evalOnW(w, proc, e->args[0]);
-                    const double b = evalOnW(w, proc, e->args[1]);
-                    return b >= 0.0 ? std::abs(a) : -std::abs(a);
-                }
-                case Intrinsic::Exp:
-                    return std::exp(evalOnW(w, proc, e->args[0]));
-            }
-            return 0.0;
-        }
-    }
-    return 0.0;
 }
 
 void SpmdSimulator::runLanesInto(WorkerScratch& w, const StmtPlan& plan,
@@ -623,8 +465,8 @@ void SpmdSimulator::resolveSlotMiss(const StmtPlan& plan, int slot,
                     printExpr(prog_, sl.ref) + " (program " + prog_.name + ")");
     // Owner validity is frozen within a phase (store writes are deferred
     // to the barrier), so one (value, source) resolution is exact for
-    // every missing lane — the interpreter's per-lane scans would find
-    // the identical holder in the identical order.
+    // every missing lane — a per-lane scan would find the identical
+    // holder in the identical order.
     const std::int64_t row = slotRow_[static_cast<size_t>(slot)];
     double v = 0.0;
     int src = -1;
@@ -655,31 +497,13 @@ void SpmdSimulator::resolveSlotMiss(const StmtPlan& plan, int slot,
     slotMissResolved_[static_cast<size_t>(slot)] = 1;
 }
 
-void SpmdSimulator::soaLoad() {
-    const std::int64_t total = procStore_[0].totalElems();
-    for (int p = 0; p < procCount_; ++p) {
-        const double* data = procStore_[static_cast<size_t>(p)].dataRaw();
-        const char* valid = procStore_[static_cast<size_t>(p)].validRaw();
-        double* sd = soa_.data() + p;
-        char* sv = soaValid_.data() + p;
-        for (std::int64_t e = 0; e < total; ++e) {
-            sd[e * procCount_] = data[e];
-            sv[e * procCount_] = valid[e];
-        }
-    }
-}
-
-void SpmdSimulator::soaFlush() {
-    const std::int64_t total = procStore_[0].totalElems();
-    for (int p = 0; p < procCount_; ++p) {
-        double* data = procStore_[static_cast<size_t>(p)].dataRaw();
-        char* valid = procStore_[static_cast<size_t>(p)].validRaw();
-        const double* sd = soa_.data() + p;
-        const char* sv = soaValid_.data() + p;
-        for (std::int64_t e = 0; e < total; ++e) {
-            data[e] = sd[e * procCount_];
-            valid[e] = sv[e * procCount_];
-        }
+void SpmdSimulator::storeLanes(SymbolId sym, std::int64_t flat,
+                               const std::vector<int>& execs, size_t b,
+                               size_t e) {
+    const std::int64_t row = soaRowOf(sym, flat);
+    for (size_t i = b; i < e; ++i) {
+        soa_[static_cast<size_t>(row + execs[i])] = values_[i];
+        soaValid_[static_cast<size_t>(row + execs[i])] = 1;
     }
 }
 
@@ -689,43 +513,75 @@ void SpmdSimulator::phaseWorker(int worker) {
         const std::vector<int>& execs = *phaseExecs_;
         const auto [b, e] = LockstepPool::chunkOf(
             static_cast<std::int64_t>(execs.size()), worker, threads_);
-        if (engine_ == SimEngine::Bytecode) {
-            runLanesInto(ws, *phasePlan_, execs, b, e);
-        } else {
-            for (std::int64_t i = b; i < e; ++i)
-                values_[static_cast<size_t>(i)] =
-                    evalOnW(ws, execs[static_cast<size_t>(i)], phaseExpr_);
-        }
-        if (phaseDirect_ != kNoSymbol) {
-            // Relaxed mode: each executor commits its private reduction
-            // accumulator immediately. Only lanes in [b, e) are written,
-            // so workers never touch the same processor's copy; any
-            // cross-processor read of the accumulator inside the loop
-            // would have tripped the no-communication-op assert in
-            // strict mode as well.
-            if (engine_ == SimEngine::Bytecode) {
-                const std::int64_t row = soaRowOf(phaseDirect_, 0);
-                for (std::int64_t i = b; i < e; ++i) {
-                    const std::int64_t at =
-                        row + execs[static_cast<size_t>(i)];
-                    soa_[static_cast<size_t>(at)] =
-                        values_[static_cast<size_t>(i)];
-                    soaValid_[static_cast<size_t>(at)] = 1;
-                }
-            } else {
-                for (std::int64_t i = b; i < e; ++i)
-                    procStore_[static_cast<size_t>(
-                                   execs[static_cast<size_t>(i)])]
-                        .set(phaseDirect_, 0, values_[static_cast<size_t>(i)]);
-            }
-        }
+        runLanesInto(ws, *phasePlan_, execs, b, e);
+        // Relaxed mode: each executor commits its private reduction
+        // accumulator immediately. Only lanes in [b, e) are written, so
+        // workers never touch the same processor's copy; any
+        // cross-processor read of the accumulator inside the loop would
+        // have tripped the no-communication-op assert in strict mode as
+        // well.
+        if (phaseDirect_ != kNoSymbol)
+            storeLanes(phaseDirect_, 0, execs, static_cast<size_t>(b),
+                       static_cast<size_t>(e));
     } catch (...) {
         ws.error = std::current_exception();
     }
 }
 
+bool SpmdSimulator::scanSlots(const StmtPlan& plan,
+                              const std::vector<int>& execs) {
+    const std::vector<bc::FetchSlot>& slots = plan.code.slots;
+    const Store& ref = oracle_.store();
+    const bool dense = &execs == &allProcs_;
+    bool clean = true;
+    for (size_t i = 0; i < slots.size(); ++i) {
+        // Subscripts are iteration-dependent but identical on every
+        // executor: resolve the flat index once on the oracle.
+        const std::int64_t flat =
+            slots[i].isArray
+                ? bc::evalIndexForm(plan.code.slotIndex[i], oracle_)
+                : 0;
+        const std::int64_t elem = ref.elemIndexOf(slots[i].sym, flat);
+        slotFlat_[i] = flat;
+        slotElem_[i] = elem;
+        slotRow_[i] = elem * procCount_;
+        slotMissResolved_[i] = 0;
+        // Pre-resolve every slot some executor will miss: validity is
+        // frozen for the whole phase, so the resolution is identical for
+        // all lanes, and doing it here (main thread, before the pool)
+        // keeps the workers read-only on shared state. A slot every
+        // executor holds is flagged so the VM loads it as one contiguous
+        // row.
+        const char* vrow = soaValid_.data() + slotRow_[i];
+        char ok = 1;
+        if (dense) {
+            const int miss = firstZeroByte(vrow, procCount_);
+            if (miss >= 0) {
+                ok = 0;
+                resolveSlotMiss(plan, static_cast<int>(i), miss);
+            }
+        } else {
+            for (const int p : execs) {
+                if (vrow[p] != 0) continue;
+                ok = 0;
+                resolveSlotMiss(plan, static_cast<int>(i), p);
+                break;
+            }
+        }
+        slotAllValid_[i] = ok;
+        clean = clean && ok != 0;
+    }
+    return clean;
+}
+
+double SpmdSimulator::oracleValue(const StmtPlan& plan) {
+    const double* od = oracle_.store().dataRaw();
+    return vm::runScalar(plan.code.value, oracleRegs_.data(),
+                         [&](int slot) { return od[slotElem_[slot]]; });
+}
+
 void SpmdSimulator::evalPhase(const StmtPlan& plan,
-                              const std::vector<int>& execs, const Expr* e,
+                              const std::vector<int>& execs,
                               SymbolId directSym) {
     // Telemetry is opt-in (evalHist_ resolved once in setTelemetry);
     // unarmed runs pay a null check, not a clock read. Armed runs
@@ -738,133 +594,58 @@ void SpmdSimulator::evalPhase(const StmtPlan& plan,
     const bool profEval = profile_ != nullptr && profile_->sampleEval();
     std::chrono::steady_clock::time_point t0;
     if (sampleEval || profEval) t0 = std::chrono::steady_clock::now();
-    // Resolve the flat index of every fetched ArrayRef once on the
-    // oracle; subscripts are iteration-dependent but identical on every
-    // executor.
-    const bool bcMode =
-        engine_ == SimEngine::Bytecode && !plan.code.value.empty();
+    const auto recordSample = [&] {
+        if (!sampleEval && !profEval) return;
+        const double us = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        if (sampleEval) evalHist_->record(us);
+        if (profEval) profile_->addEvalSample(us);
+    };
     const size_t ne = execs.size();
-    phaseClean_ = false;
-    if (bcMode) {
+    phaseClean_ = scanSlots(plan, execs);
+    if (plan.laneUniform) {
+        // Every lane would compute the oracle's value (see buildPlans):
+        // skip the VM run and record just the communication — the same
+        // misses, in the same slot-major lane order, with the same
+        // pending-copy dedup the VM's fetches would produce. execStmt
+        // broadcasts the oracle's result to the executors.
         const std::vector<bc::FetchSlot>& slots = plan.code.slots;
-        const Store& st0 = procStore_[0];
-        const bool dense = &execs == &allProcs_;
-        bool clean = true;
+        WorkerScratch& w = workers_[0];
         for (size_t i = 0; i < slots.size(); ++i) {
-            const std::int64_t flat =
-                slots[i].isArray
-                    ? bc::evalIndexForm(plan.code.slotIndex[i], oracle_)
-                    : 0;
-            const std::int64_t elem = st0.elemIndexOf(slots[i].sym, flat);
-            slotFlat_[i] = flat;
-            slotElem_[i] = elem;
-            slotRow_[i] = elem * procCount_;
-            slotMissResolved_[i] = 0;
-            // Pre-resolve every slot some executor will miss: validity
-            // is frozen for the whole phase, so the resolution is
-            // identical for all lanes, and doing it here (main thread,
-            // before the pool) keeps the workers read-only on shared
-            // state. A slot every executor holds is flagged so the VM
-            // loads it as one contiguous row.
+            if (slotAllValid_[i] != 0) continue;
+            // Runtime aliasing is an SoA-row equality: an earlier slot
+            // with the same row has the same frozen validity, so every
+            // lane missing here already fetched the element there (all
+            // records pending — nothing new); with no such slot, no
+            // pending copy can match and the records are straight
+            // appends of the resolution.
+            bool dup = false;
+            for (size_t j = 0; j < i; ++j)
+                if (slotRow_[j] == slotRow_[i]) dup = true;
+            if (dup) continue;
             const char* vrow = soaValid_.data() + slotRow_[i];
-            char ok = 1;
-            if (dense) {
-                const int miss = firstZeroByte(vrow, procCount_);
-                if (miss >= 0) {
-                    ok = 0;
-                    resolveSlotMiss(plan, static_cast<int>(i), miss);
-                }
-            } else {
-                for (size_t l = 0; l < ne; ++l) {
-                    if (vrow[execs[l]] != 0) continue;
-                    ok = 0;
-                    resolveSlotMiss(plan, static_cast<int>(i), execs[l]);
-                    break;
-                }
+            const bc::FetchSlot& sl = slots[i];
+            const std::int64_t flat = sl.isArray ? slotFlat_[i] : 0;
+            for (const int p : execs) {
+                if (vrow[p] != 0) continue;
+                w.pending.push_back(PendingWrite{p, sl.sym, flat, slotMissV_[i]});
+                w.misses.push_back(
+                    MissRecord{plan.slotOp[i], p, slotMissSrc_[i]});
             }
-            slotAllValid_[i] = ok;
-            clean = clean && ok != 0;
         }
-        phaseClean_ = clean;
-        if (plan.laneUniform) {
-            // Every lane would compute the oracle's value (see
-            // buildPlans): skip the VM run and record just the
-            // communication — the same misses, in the same slot-major
-            // lane order, with the same pending-copy dedup the VM's
-            // fetches would produce. execStmt broadcasts the oracle's
-            // result to the executors.
-            WorkerScratch& w = workers_[0];
-            for (size_t i = 0; i < slots.size(); ++i) {
-                if (slotAllValid_[i] != 0) continue;
-                // Runtime aliasing is an SoA-row equality: an earlier
-                // slot with the same row has the same frozen validity,
-                // so every lane missing here already fetched the
-                // element there (all records pending — nothing new);
-                // with no such slot, no pending copy can match and the
-                // records are straight appends of the resolution.
-                bool dup = false;
-                for (size_t j = 0; j < i; ++j)
-                    if (slotRow_[j] == slotRow_[i]) dup = true;
-                if (dup) continue;
-                const char* vrow = soaValid_.data() + slotRow_[i];
-                const bc::FetchSlot& sl = slots[i];
-                const std::int64_t flat = sl.isArray ? slotFlat_[i] : 0;
-                const double mv = slotMissV_[i];
-                const int src = slotMissSrc_[i];
-                const CommOp* op = plan.slotOp[i];
-                for (size_t l = 0; l < ne; ++l) {
-                    const int p = execs[l];
-                    if (vrow[p] != 0) continue;
-                    w.pending.push_back(PendingWrite{p, sl.sym, flat, mv});
-                    w.misses.push_back(MissRecord{op, p, src});
-                }
-            }
-            if (sampleEval || profEval) {
-                const double us = std::chrono::duration<double, std::micro>(
-                                      std::chrono::steady_clock::now() - t0)
-                                      .count();
-                if (sampleEval) evalHist_->record(us);
-                if (profEval) profile_->addEvalSample(us);
-            }
-            return;
-        }
-    } else {
-        for (const Expr* r : plan.fetchRefs)
-            if (r->kind == ExprKind::ArrayRef)
-                refFlat_[static_cast<size_t>(r->id)] = oracle_.flatIndexOf(r);
+        recordSample();
+        return;
     }
     values_.resize(ne);
     if (pool_ == nullptr || static_cast<int>(ne) < threads_) {
-        WorkerScratch& w = workers_[0];
-        if (bcMode)
-            runLanesInto(w, plan, execs, 0, static_cast<std::int64_t>(ne));
-        else
-            for (size_t i = 0; i < ne; ++i)
-                values_[i] = evalOnW(w, execs[i], e);
-        if (directSym != kNoSymbol) {
-            if (engine_ == SimEngine::Bytecode) {
-                const std::int64_t row = soaRowOf(directSym, 0);
-                for (size_t i = 0; i < ne; ++i) {
-                    soa_[static_cast<size_t>(row + execs[i])] = values_[i];
-                    soaValid_[static_cast<size_t>(row + execs[i])] = 1;
-                }
-            } else {
-                for (size_t i = 0; i < ne; ++i)
-                    procStore_[static_cast<size_t>(execs[i])].set(directSym, 0,
-                                                                  values_[i]);
-            }
-        }
-        if (sampleEval || profEval) {
-            const double us = std::chrono::duration<double, std::micro>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count();
-            if (sampleEval) evalHist_->record(us);
-            if (profEval) profile_->addEvalSample(us);
-        }
+        runLanesInto(workers_[0], plan, execs, 0,
+                     static_cast<std::int64_t>(ne));
+        if (directSym != kNoSymbol) storeLanes(directSym, 0, execs, 0, ne);
+        recordSample();
         return;
     }
     phaseExecs_ = &execs;
-    phaseExpr_ = e;
     phasePlan_ = &plan;
     phaseDirect_ = directSym;
     pool_->run(
@@ -872,13 +653,7 @@ void SpmdSimulator::evalPhase(const StmtPlan& plan,
             static_cast<SpmdSimulator*>(ctx)->phaseWorker(worker);
         },
         this);
-    if (sampleEval || profEval) {
-        const double us = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-        if (sampleEval) evalHist_->record(us);
-        if (profEval) profile_->addEvalSample(us);
-    }
+    recordSample();
     for (WorkerScratch& ws : workers_) {
         if (ws.error == nullptr) continue;
         const std::exception_ptr err = ws.error;
@@ -897,7 +672,6 @@ void SpmdSimulator::mergeWorkers() {
     const bool profMerge = profile_ != nullptr && profile_->sampleMerge();
     std::chrono::steady_clock::time_point t0;
     if (sampleMerge || profMerge) t0 = std::chrono::steady_clock::now();
-    const bool bcMode = engine_ == SimEngine::Bytecode;
     // Event-context memo: the oracle's scalars are constant for the
     // whole merge, so after noteEvent(op) ran once, repeating it for
     // the same op is a guaranteed duplicate (InternedEventSet::record
@@ -905,14 +679,9 @@ void SpmdSimulator::mergeWorkers() {
     ++mergeStamp_;
     for (WorkerScratch& ws : workers_) {
         for (const PendingWrite& pw : ws.pending) {
-            if (bcMode) {
-                const std::int64_t at = soaRowOf(pw.sym, pw.flat) + pw.proc;
-                soa_[static_cast<size_t>(at)] = pw.v;
-                soaValid_[static_cast<size_t>(at)] = 1;
-            } else {
-                procStore_[static_cast<size_t>(pw.proc)].set(pw.sym, pw.flat,
-                                                             pw.v);
-            }
+            const std::int64_t at = soaRowOf(pw.sym, pw.flat) + pw.proc;
+            soa_[static_cast<size_t>(at)] = pw.v;
+            soaValid_[static_cast<size_t>(at)] = 1;
         }
         for (const MissRecord& m : ws.misses) {
             // Lossy-network mode: every element transfer rides the
@@ -955,8 +724,7 @@ void SpmdSimulator::execStmt(const Stmt* s) {
                 profile_->beginStmt(s->id);
                 profile_->addExecutors(execs);
             }
-            const bool bcMode = engine_ == SimEngine::Bytecode;
-            if (bcMode && plan.laneUniform && evalHist_ == nullptr &&
+            if (plan.laneUniform && evalHist_ == nullptr &&
                 mergeHist_ == nullptr && profile_ == nullptr &&
                 transport_ == nullptr) {
                 // No sampler needs its tick and no fault schedule is
@@ -966,8 +734,7 @@ void SpmdSimulator::execStmt(const Stmt* s) {
             }
             const std::int64_t flat =
                 s->lhs->kind == ExprKind::ArrayRef
-                    ? (bcMode ? bc::evalIndexForm(plan.code.lhsIndex, oracle_)
-                              : oracle_.flatIndexOf(s->lhs))
+                    ? bc::evalIndexForm(plan.code.lhsIndex, oracle_)
                     : 0;
             // Relaxed mode: a scalar reduction accumulator is committed
             // by each executor as soon as its lane finishes, skipping
@@ -977,60 +744,32 @@ void SpmdSimulator::execStmt(const Stmt* s) {
             const bool direct = relaxed_ && plan.isReductionAcc &&
                                 s->lhs->kind == ExprKind::VarRef;
             // Evaluate on every executor against the pre-statement state.
-            evalPhase(plan, execs, s->rhs,
-                      direct ? s->lhs->sym : kNoSymbol);
+            evalPhase(plan, execs, direct ? s->lhs->sym : kNoSymbol);
             if (!phaseClean_ || mergeHist_ != nullptr ||
                 profile_ != nullptr)
                 mergeWorkers();
-            if (bcMode) {
-                // Apply the statement's effect on the oracle through the
-                // same bytecode, so the reference state never pays a
-                // tree walk either. Accounting matches execStmt exactly.
-                const double* od = oracle_.store().dataRaw();
-                const double v = vm::runScalar(
-                    plan.code.value, oracleRegs_.data(),
-                    [&](int slot) { return od[slotElem_[slot]]; });
-                const std::int64_t row = soaRowOf(s->lhs->sym, flat);
-                if (!plan.isReductionAcc)
-                    // Non-executors' copies become stale: one contiguous
-                    // validity-row clear instead of per-store calls.
-                    std::memset(soaValid_.data() + row, 0,
-                                static_cast<size_t>(procCount_));
-                if (plan.laneUniform) {
-                    // Uniform phase: every executor's result is the
-                    // oracle's value (no per-lane values_ were run).
-                    if (&execs == &allProcs_) {
-                        std::fill(soa_.begin() + row,
-                                  soa_.begin() + row + procCount_, v);
-                        std::memset(soaValid_.data() + row, 1,
-                                    static_cast<size_t>(procCount_));
-                    } else {
-                        for (const int p : execs) {
-                            soa_[static_cast<size_t>(row + p)] = v;
-                            soaValid_[static_cast<size_t>(row + p)] = 1;
-                        }
-                    }
-                } else if (!direct) {
-                    for (size_t i = 0; i < execs.size(); ++i) {
-                        soa_[static_cast<size_t>(row + execs[i])] = values_[i];
-                        soaValid_[static_cast<size_t>(row + execs[i])] = 1;
-                    }
+            // Apply the statement's effect on the oracle through the
+            // same bytecode, so the reference state never pays a tree
+            // walk either; the oracle's accounting matches execStmt.
+            const double v = oracleValue(plan);
+            const std::int64_t row = soaRowOf(s->lhs->sym, flat);
+            if (!plan.isReductionAcc)
+                // Non-executors' copies become stale: one contiguous
+                // validity-row clear.
+                std::memset(soaValid_.data() + row, 0,
+                            static_cast<size_t>(procCount_));
+            if (plan.laneUniform) {
+                // Uniform phase: every executor's result is the oracle's
+                // value (no per-lane values_ were run).
+                for (const int p : execs) {
+                    soa_[static_cast<size_t>(row + p)] = v;
+                    soaValid_[static_cast<size_t>(row + p)] = 1;
                 }
-                oracle_.store().set(s->lhs->sym, flat, v);
-                oracle_.noteStatementExecuted();
-            } else {
-                if (!plan.isReductionAcc) {
-                    // Non-executors' copies become stale.
-                    for (int p = 0; p < procCount_; ++p)
-                        procStore_[static_cast<size_t>(p)].invalidate(
-                            s->lhs->sym, flat);
-                }
-                if (!direct)
-                    for (size_t i = 0; i < execs.size(); ++i)
-                        procStore_[static_cast<size_t>(execs[i])].set(
-                            s->lhs->sym, flat, values_[i]);
-                oracle_.execStmt(s);
+            } else if (!direct) {
+                storeLanes(s->lhs->sym, flat, execs, 0, execs.size());
             }
+            oracle_.store().set(s->lhs->sym, flat, v);
+            oracle_.noteStatementExecuted();
             break;
         }
         case StmtKind::If: {
@@ -1043,18 +782,11 @@ void SpmdSimulator::execStmt(const Stmt* s) {
                 profile_->beginStmt(s->id);
                 profile_->addExecutors(execs);
             }
-            evalPhase(plan, execs, s->cond);  // predicate comm
+            evalPhase(plan, execs);  // predicate comm
             if (!phaseClean_ || mergeHist_ != nullptr ||
                 profile_ != nullptr)
                 mergeWorkers();
-            const bool taken =
-                engine_ == SimEngine::Bytecode
-                    ? vm::runScalar(plan.code.value, oracleRegs_.data(),
-                                    [&](int slot) {
-                                        return oracle_.store().dataRaw()
-                                            [slotElem_[slot]];
-                                    }) != 0.0
-                    : oracle_.eval(s->cond) != 0.0;
+            const bool taken = oracleValue(plan) != 0.0;
             if (trackCtrl_) {
                 CtrlFrame f;
                 f.stmt = s;
@@ -1100,12 +832,7 @@ void SpmdSimulator::execStmt(const Stmt* s) {
                      iv += step) {
                     if (trackCtrl_) ctrl_.back().iv = iv;
                     oracle_.store().set(s->loopVar, 0, static_cast<double>(iv));
-                    if (engine_ == SimEngine::Bytecode)
-                        soaBroadcast(s->loopVar, 0, static_cast<double>(iv));
-                    else
-                        for (int p = 0; p < procCount_; ++p)
-                            procStore_[static_cast<size_t>(p)].set(
-                                s->loopVar, 0, static_cast<double>(iv));
+                    soaBroadcast(s->loopVar, 0, static_cast<double>(iv));
                     execLoopBody(s);
                 }
             }
@@ -1121,41 +848,8 @@ void SpmdSimulator::execStmt(const Stmt* s) {
 
 void SpmdSimulator::execUniformBc(const Stmt* s, const StmtPlan& plan,
                                   const std::vector<int>& execs) {
-    // Slot pre-resolution, identical to evalPhase's bytecode scan.
     const std::vector<bc::FetchSlot>& slots = plan.code.slots;
-    const Store& st0 = procStore_[0];
-    const bool dense = &execs == &allProcs_;
-    const size_t ne = execs.size();
-    bool clean = true;
-    for (size_t i = 0; i < slots.size(); ++i) {
-        const std::int64_t flat =
-            slots[i].isArray
-                ? bc::evalIndexForm(plan.code.slotIndex[i], oracle_)
-                : 0;
-        const std::int64_t elem = st0.elemIndexOf(slots[i].sym, flat);
-        slotElem_[i] = elem;
-        slotRow_[i] = elem * procCount_;
-        slotMissResolved_[i] = 0;
-        const char* vrow = soaValid_.data() + slotRow_[i];
-        char ok = 1;
-        if (dense) {
-            const int miss = firstZeroByte(vrow, procCount_);
-            if (miss >= 0) {
-                ok = 0;
-                resolveSlotMiss(plan, static_cast<int>(i), miss);
-            }
-        } else {
-            for (size_t l = 0; l < ne; ++l) {
-                if (vrow[execs[l]] != 0) continue;
-                ok = 0;
-                resolveSlotMiss(plan, static_cast<int>(i), execs[l]);
-                break;
-            }
-        }
-        slotAllValid_[i] = ok;
-        clean = clean && ok != 0;
-    }
-    if (!clean) {
+    if (!scanSlots(plan, execs)) {
         // Apply the misses in place — same slot-major lane order, same
         // row-equality dedup and same per-merge event memo the deferred
         // evalPhase + mergeWorkers pair produces (mutating a row here
@@ -1174,8 +868,7 @@ void SpmdSimulator::execUniformBc(const Stmt* s, const StmtPlan& plan,
             const int src = slotMissSrc_[i];
             const CommOp* op = plan.slotOp[i];
             const size_t opId = static_cast<size_t>(op->id);
-            for (size_t l = 0; l < ne; ++l) {
-                const int p = execs[l];
+            for (const int p : execs) {
                 if (vrow[p] != 0) continue;
                 soa_[static_cast<size_t>(row + p)] = mv;
                 vrow[p] = 1;
@@ -1193,22 +886,17 @@ void SpmdSimulator::execUniformBc(const Stmt* s, const StmtPlan& plan,
     }
     // Every lane computes the oracle's value (lane uniformity): run the
     // chunk once on the oracle and broadcast.
-    const double* od = oracle_.store().dataRaw();
-    const double v =
-        vm::runScalar(plan.code.value, oracleRegs_.data(),
-                      [&](int slot) { return od[slotElem_[slot]]; });
+    const double v = oracleValue(plan);
     const std::int64_t flat =
         s->lhs->kind == ExprKind::ArrayRef
             ? bc::evalIndexForm(plan.code.lhsIndex, oracle_)
             : 0;
-    const std::int64_t row = soaRowOf(s->lhs->sym, flat);
-    if (dense) {
-        std::fill(soa_.begin() + row, soa_.begin() + row + procCount_, v);
-        std::memset(soaValid_.data() + row, 1,
-                    static_cast<size_t>(procCount_));
+    if (&execs == &allProcs_) {
+        soaBroadcast(s->lhs->sym, flat, v);
     } else {
         // Non-executors' copies become stale (lane-uniform statements
         // are never reduction accumulations).
+        const std::int64_t row = soaRowOf(s->lhs->sym, flat);
         std::memset(soaValid_.data() + row, 0,
                     static_cast<size_t>(procCount_));
         for (const int p : execs) {
@@ -1255,20 +943,10 @@ void SpmdSimulator::runCombines(const Stmt* s) {
         // copies, not the oracle's sequential accumulation; write it
         // back so the reference state agrees with the broadcast.
         if (relaxedOp) oracle_.store().set(op.ref->sym, 0, v);
-        if (engine_ == SimEngine::Bytecode)
-            soaBroadcast(op.ref->sym, 0, v);
-        else
-            for (int p = 0; p < procCount_; ++p)
-                procStore_[static_cast<size_t>(p)].set(op.ref->sym, 0, v);
-        if (c.red->locScalar != kNoSymbol) {
-            const double lv = oracle_.store().get(c.red->locScalar);
-            if (engine_ == SimEngine::Bytecode)
-                soaBroadcast(c.red->locScalar, 0, lv);
-            else
-                for (int p = 0; p < procCount_; ++p)
-                    procStore_[static_cast<size_t>(p)].set(c.red->locScalar, 0,
-                                                           lv);
-        }
+        soaBroadcast(op.ref->sym, 0, v);
+        if (c.red->locScalar != kNoSymbol)
+            soaBroadcast(c.red->locScalar, 0,
+                         oracle_.store().get(c.red->locScalar));
         noteEvent(&op);
         ++transfers_;
         ++elemsPerOp_[static_cast<size_t>(op.id)];
@@ -1280,12 +958,9 @@ void SpmdSimulator::runCombines(const Stmt* s) {
 }
 
 double SpmdSimulator::combineRelaxed(const CombinePlan& c) const {
-    const SymbolId s = c.op->ref->sym;
-    const bool bcMode = engine_ == SimEngine::Bytecode;
-    const std::int64_t row = bcMode ? soaRowOf(s, 0) : 0;
+    const std::int64_t row = soaRowOf(c.op->ref->sym, 0);
     const auto procVal = [&](int p) {
-        return bcMode ? soa_[static_cast<size_t>(row + p)]
-                      : procStore_[static_cast<size_t>(p)].get(s);
+        return soa_[static_cast<size_t>(row + p)];
     };
     // Only VALID copies participate: a processor whose copy was
     // invalidated (e.g. it did not execute the accumulator's reset
@@ -1294,8 +969,7 @@ double SpmdSimulator::combineRelaxed(const CombinePlan& c) const {
     // history. Executors always hold valid copies (the direct commit
     // marks them), so at least one copy participates.
     const auto procValid = [&](int p) {
-        return bcMode ? soaValid_[static_cast<size_t>(row + p)] != 0
-                      : procStore_[static_cast<size_t>(p)].valid(s, 0);
+        return soaValid_[static_cast<size_t>(row + p)] != 0;
     };
     switch (c.red->op) {
         case ReductionInfo::Op::Sum: {
@@ -1380,10 +1054,8 @@ void SpmdSimulator::boundary(const Stmt* s) {
 void SpmdSimulator::takeCheckpoint(const Stmt* boundaryStmt) {
     std::chrono::steady_clock::time_point t0;
     if (ckptHist_ != nullptr) t0 = std::chrono::steady_clock::now();
-    // The SoA banks are authoritative mid-run; transcribe them back so
-    // the checkpoint's Store copies (and a later restore) see them.
-    // Same for the guard-accounting deltas.
-    if (engine_ == SimEngine::Bytecode) soaFlush();
+    // The checkpoint captures procMetrics_, so fold in the
+    // guard-accounting deltas first.
     flushAccounting();
     std::vector<CtrlFrame> path = ctrl_;
     if (boundaryStmt != nullptr) {
@@ -1394,7 +1066,7 @@ void SpmdSimulator::takeCheckpoint(const Stmt* boundaryStmt) {
         path.push_back(f);
     }
     ckpt_ = std::make_unique<Checkpoint>(Checkpoint{
-        procStore_, oracle_.store(), oracle_.statementsExecuted(),
+        soa_, soaValid_, oracle_.store(), oracle_.statementsExecuted(),
         procMetrics_, transfers_, procStmts_, instances_, events_,
         eventsPerOp_, elemsPerOp_, barrierEvents_, combineInit_,
         std::move(path),
@@ -1417,7 +1089,8 @@ void SpmdSimulator::restoreCheckpoint() {
         "sim.restore", "to_instances=" + std::to_string(ckpt_->instances) +
                            " recovery=" + std::to_string(recoveries_));
     const Checkpoint& ck = *ckpt_;
-    procStore_ = ck.procStore;
+    soa_ = ck.soa;
+    soaValid_ = ck.soaValid;
     oracle_.store() = ck.oracleStore;
     oracle_.setStatementsExecuted(ck.oracleExecuted);
     procMetrics_ = ck.procMetrics;
@@ -1435,7 +1108,6 @@ void SpmdSimulator::restoreCheckpoint() {
     std::fill(execDelta_.begin(), execDelta_.end(), 0);
     accountedInstances_ = 0;
     denseAccounted_ = 0;
-    if (engine_ == SimEngine::Bytecode) soaLoad();
     // The control stack is rebuilt by the resume navigation; worker
     // scratch holds no state at a statement boundary, but clear it
     // defensively.
@@ -1524,12 +1196,7 @@ void SpmdSimulator::resumeDo(const CtrlFrame& f, size_t depth) {
                 continue;
             }
             oracle_.store().set(s->loopVar, 0, static_cast<double>(iv));
-            if (engine_ == SimEngine::Bytecode)
-                soaBroadcast(s->loopVar, 0, static_cast<double>(iv));
-            else
-                for (int p = 0; p < procCount_; ++p)
-                    procStore_[static_cast<size_t>(p)].set(
-                        s->loopVar, 0, static_cast<double>(iv));
+            soaBroadcast(s->loopVar, 0, static_cast<double>(iv));
             execLoopBody(s);
         }
     }
@@ -1541,24 +1208,24 @@ void SpmdSimulator::run() {
     // Distribute initial (oracle-seeded) data: owners hold their
     // elements, replicated data is everywhere.
     const ProcGrid& grid = low_.dataMapping().grid();
+    const Store& input = oracle_.store();
     for (const Symbol& sym : prog_.symbols) {
         const ArrayMap& map = low_.dataMapping().mapOf(sym.id);
         if (!sym.isArray()) {
-            for (int p = 0; p < procCount_; ++p)
-                procStore_[static_cast<size_t>(p)].set(
-                    sym.id, 0, oracle_.store().get(sym.id));
+            soaBroadcast(sym.id, 0, input.get(sym.id));
             continue;
         }
         // Enumerate elements and place them on their owners.
         std::vector<std::int64_t> idx(static_cast<size_t>(sym.rank()));
         std::function<void(int)> rec = [&](int d) {
             if (d == sym.rank()) {
-                const std::int64_t flat =
-                    procStore_[0].flatten(prog_, sym.id, idx);
+                const std::int64_t flat = input.flatten(prog_, sym.id, idx);
+                const std::int64_t row = soaRowOf(sym.id, flat);
+                const double v = input.get(sym.id, flat);
                 const GridSet owners = map.ownerOf(idx, grid);
                 forEachGridProc(owners, grid, coordsScratch_, [&](int p) {
-                    procStore_[static_cast<size_t>(p)].set(
-                        sym.id, flat, oracle_.store().get(sym.id, flat));
+                    soa_[static_cast<size_t>(row + p)] = v;
+                    soaValid_[static_cast<size_t>(row + p)] = 1;
                     return true;
                 });
                 return;
@@ -1576,11 +1243,6 @@ void SpmdSimulator::run() {
     instances_ = 0;
     ctrl_.clear();
     ckpt_.reset();
-    // Bytecode engine: the lane-major SoA banks become the authoritative
-    // per-processor state for the whole run; procStore_ is transcribed
-    // back at checkpoints and at run end (soaFlush), so the external
-    // Store-based interface is unchanged.
-    if (engine_ == SimEngine::Bytecode) soaLoad();
     // With crash recovery armed, take the initial checkpoint right after
     // initial distribution — a crash before the first periodic one
     // replays from the start of the program.
@@ -1609,13 +1271,11 @@ void SpmdSimulator::run() {
             }
         }
     } catch (...) {
-        // A SimFault escaping mid-run must still leave procStore_ and
-        // the per-proc metrics coherent for post-mortem inspection.
-        if (engine_ == SimEngine::Bytecode) soaFlush();
+        // A SimFault escaping mid-run must still leave the per-proc
+        // metrics coherent for post-mortem inspection.
         flushAccounting();
         throw;
     }
-    if (engine_ == SimEngine::Bytecode) soaFlush();
     flushAccounting();
     wallSec_ = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t0)
@@ -1665,18 +1325,8 @@ std::int64_t SpmdSimulator::elementsOfOp(int opId) const {
 void SpmdSimulator::accountExecutors(const std::vector<int>& execs) {
     // Guard accounting: processors in `execs` pass their computation-
     // partitioning guard for this statement instance, everyone else
-    // evaluates the guard and skips.
-    if (engine_ != SimEngine::Bytecode) {
-        for (ProcSimMetrics& m : procMetrics_) ++m.stmtsSkipped;
-        for (const int p : execs) {
-            ProcSimMetrics& m = procMetrics_[static_cast<size_t>(p)];
-            ++m.stmtsExecuted;
-            --m.stmtsSkipped;
-        }
-        return;
-    }
-    // Bytecode engine: skipped = instances - executed, so only the
-    // executed counts (dense int64 array, one cache line for typical
+    // evaluates the guard and skips. Skipped = instances - executed, so
+    // only the executed counts (dense int64 array, one cache line for typical
     // proc counts — or a single counter for guard-All instances) are
     // touched per instance; flushAccounting materializes the
     // ProcSimMetrics view at run/checkpoint boundaries.
@@ -1719,27 +1369,32 @@ double SpmdSimulator::valueOn(int proc, const std::string& name,
                               std::int64_t flat) const {
     const SymbolId s = prog_.findSymbol(name);
     PHPF_ASSERT(s != kNoSymbol, "unknown symbol " + name);
-    return procStore_[static_cast<size_t>(proc)].get(s, flat);
+    return soa_[static_cast<size_t>(soaRowOf(s, flat) + proc)];
 }
 
 bool SpmdSimulator::validOn(int proc, const std::string& name,
                             std::int64_t flat) const {
     const SymbolId s = prog_.findSymbol(name);
     PHPF_ASSERT(s != kNoSymbol, "unknown symbol " + name);
-    return procStore_[static_cast<size_t>(proc)].valid(s, flat);
+    return soaValid_[static_cast<size_t>(soaRowOf(s, flat) + proc)] != 0;
 }
 
 double SpmdSimulator::maxErrorVsOracle(const std::string& name) const {
     const SymbolId s = prog_.findSymbol(name);
     PHPF_ASSERT(s != kNoSymbol, "unknown symbol " + name);
     double maxErr = 0.0;
-    for (std::int64_t flat = 0; flat < procStore_[0].sizeOf(s); ++flat) {
+    for (std::int64_t flat = 0; flat < oracle_.store().sizeOf(s); ++flat) {
         const double ref = oracle_.store().get(s, flat);
+        const std::int64_t row = soaRowOf(s, flat);
         for (int p = 0; p < procCount_; ++p) {
-            if (!procStore_[static_cast<size_t>(p)].valid(s, flat)) continue;
-            maxErr = std::max(
-                maxErr,
-                std::abs(procStore_[static_cast<size_t>(p)].get(s, flat) - ref));
+            if (soaValid_[static_cast<size_t>(row + p)] == 0) continue;
+            const double v = soa_[static_cast<size_t>(row + p)];
+            const double diff = std::abs(v - ref);
+            // std::max drops a NaN operand: a NaN difference is a
+            // mismatch unless the two values are the same bits.
+            if (std::isnan(diff) && std::memcmp(&v, &ref, sizeof v) != 0)
+                return std::numeric_limits<double>::infinity();
+            maxErr = std::max(maxErr, diff);
         }
     }
     return maxErr;

@@ -25,9 +25,11 @@ namespace phpf {
 /// distributed-memory machine (our stand-in for the paper's 16-node
 /// SP2).
 ///
-/// Every simulated processor has its own Store; distributed arrays are
-/// valid only where owned (or received), privatized variables live as
-/// genuinely private per-processor copies. Statements execute in global
+/// Every simulated processor has its own copy of every element, held in
+/// lane-major banks (element-major, one lane per processor); distributed
+/// arrays are valid only where owned (or received), privatized variables
+/// live as genuinely private per-processor copies. Statements execute,
+/// compiled to register bytecode (runtime/bytecode.h), in global
 /// lockstep under their computation-partitioning guards; a read of data
 /// the processor does not hold triggers the matching communication op,
 /// transfers the value from its owner, and accounts the message. A read
@@ -90,11 +92,7 @@ public:
     /// is the lockstep worker count: 0 means auto (PHPF_SIM_THREADS,
     /// else hardware_concurrency), always clamped to the processor
     /// count. Results are independent of the value.
-    ///
-    /// `engine` picks the eval-phase implementation: the tree-walking
-    /// interpreter or the register-bytecode VM (default). Both produce
-    /// bit-identical results AND metrics; every other phase (lockstep
-    /// merge, checkpoints, fault injection, profiling) is shared code.
+    /// The SimEngine parameter is ignored (runtime/engine.h).
     ///
     /// `relaxedMerge` opts into combining commutative reductions
     /// (sum/max/min) from the per-processor partial accumulators in
@@ -115,7 +113,7 @@ public:
     /// one SMP node (proc.crash recovery still applies).
     explicit SpmdSimulator(const SpmdLowering& low, int elemBytes = 8,
                            int threads = 1, SimRecoveryConfig recovery = {},
-                           SimEngine engine = SimEngine::Bytecode,
+                           SimEngine = SimEngine::Bytecode,
                            bool relaxedMerge = false,
                            TargetKind targetKind = TargetKind::MessagePassing);
 
@@ -160,8 +158,6 @@ public:
     [[nodiscard]] int procCount() const { return procCount_; }
     /// Lockstep worker threads the simulation runs on (resolved).
     [[nodiscard]] int threads() const { return threads_; }
-    /// Eval-phase engine of this simulator.
-    [[nodiscard]] SimEngine engine() const { return engine_; }
     /// True when the relaxed commutative reduction merge is active.
     [[nodiscard]] bool relaxedMerge() const { return relaxed_; }
     /// Wall-clock seconds of the last run() (initial distribution
@@ -210,7 +206,7 @@ public:
     [[nodiscard]] double imbalanceRatio() const;
 
     /// The oracle (sequential reference) interpreter; seed inputs here
-    /// before run(). Inputs are mirrored to every processor's store as
+    /// before run(). Inputs are mirrored to every processor's banks as
     /// initially-valid data (original HPF arrays start replicated until
     /// first distributed write; this models "already distributed" input
     /// without charging initial distribution).
@@ -222,8 +218,10 @@ public:
     [[nodiscard]] bool validOn(int proc, const std::string& name,
                                std::int64_t flat = 0) const;
 
-    /// Assemble the global array from owner processors and compare with
-    /// the oracle; returns the max absolute difference.
+    /// Compare every valid per-processor copy of `name` with the oracle;
+    /// returns the max absolute difference. A copy that differs from
+    /// the oracle through a NaN (on either side) counts as an infinite
+    /// difference.
     [[nodiscard]] double maxErrorVsOracle(const std::string& name) const;
 
     [[nodiscard]] std::int64_t statementsExecutedAllProcs() const {
@@ -265,12 +263,14 @@ private:
     };
 
     /// Full simulator state at one statement boundary. Restoring it and
-    /// replaying is deterministic: the stores define all values, the
-    /// event set / counters define all accounting, and the resume path
+    /// replaying is deterministic: the banks and the oracle store define
+    /// all values, the event set / counters define all accounting, and
+    /// the resume path
     /// pins the control position — so a recovered run re-produces the
     /// fault-free run bit for bit.
     struct Checkpoint {
-        std::vector<Store> procStore;
+        std::vector<double> soa;
+        std::vector<char> soaValid;
         Store oracleStore;
         std::int64_t oracleExecuted = 0;
         std::vector<ProcSimMetrics> procMetrics;
@@ -301,37 +301,36 @@ private:
 
     /// Precomputed per-statement execution plan: everything executorsOf
     /// and the eval phase would otherwise rediscover on every statement
-    /// instance (guard descriptors, Union contributor descriptors, the
-    /// fetched refs of the rhs/cond, reduction roles, loop-end
-    /// combines). Indexed by Stmt::id.
+    /// instance (guard descriptors, Union contributor descriptors,
+    /// compiled code, reduction roles, loop-end combines). Indexed by
+    /// Stmt::id.
     struct StmtPlan {
         const StmtExec* exec = nullptr;  ///< Assign / If
         bool isReductionAcc = false;     ///< Assign: reduction accumulate
         /// Union guard: executor descriptors of the contributing
         /// owner-computes statements of the same loop body.
         std::vector<const RefDesc*> unionSrcs;
-        /// VarRef/ArrayRef nodes the executors fetch (value positions of
-        /// rhs/cond; subscripts resolve on the oracle).
-        std::vector<const Expr*> fetchRefs;
         std::vector<CombinePlan> combines;  ///< Do: loop-end combines
-        /// Bytecode engine: compiled guard subscripts, index forms, and
-        /// value chunk of this statement (empty under SimEngine::Interp).
+        /// Compiled guard subscripts, index forms, and value chunk of
+        /// this statement; the chunk's fetch slots are the VarRef/
+        /// ArrayRef nodes the executors read (value positions of
+        /// rhs/cond; subscripts resolve on the oracle).
         bc::StmtCode code;
-        /// Bytecode engine, per fetch slot: the covering communication
-        /// op (null when the slot's data is always local) and its
-        /// compiled source-descriptor subscript forms, so per-phase miss
+        /// Per fetch slot: the covering communication op (null when the
+        /// slot's data is always local) and its compiled
+        /// source-descriptor subscript forms, so per-phase miss
         /// resolution never walks a subscript tree.
         std::vector<const CommOp*> slotOp;
         std::vector<std::vector<bc::IndexForm>> slotSrcForms;
-        /// Bytecode engine: the OwnerOf executor descriptor pins every
-        /// grid dimension (no Replicated dims), so the executor set is
-        /// one processor computed directly — no grid-set enumeration.
+        /// The OwnerOf executor descriptor pins every grid dimension (no
+        /// Replicated dims), so the executor set is one processor
+        /// computed directly — no grid-set enumeration.
         bool execSingleton = false;
         /// Per fetch slot: the comm op's source descriptor is a
         /// singleton (same condition as execSingleton).
         std::vector<char> slotSrcSingleton;
-        /// Bytecode engine: every lane provably computes the oracle's
-        /// value — the statement is not a reduction accumulation and no
+        /// Every lane provably computes the oracle's value — the
+        /// statement is not a reduction accumulation and no
         /// fetched symbol is divergent (per-processor copies of every
         /// read symbol equal the oracle whenever valid). Such phases
         /// skip the per-lane VM run: misses are recorded for the
@@ -359,9 +358,7 @@ private:
     struct alignas(64) WorkerScratch {
         std::vector<PendingWrite> pending;
         std::vector<MissRecord> misses;
-        GridSet gs;               ///< owner-set scratch for fetches
-        std::vector<int> coords;  ///< grid-iteration scratch
-        /// Bytecode engine: SoA register banks, numRegs x procCount
+        /// SoA register banks, numRegs x procCount
         /// doubles (lane stride is the processor count).
         std::vector<double> regs;
         std::exception_ptr error;
@@ -372,7 +369,7 @@ private:
     /// execBlock starting at `start` (resume + goto continuation).
     void execBlockFrom(const std::vector<Stmt*>& block, size_t start);
     void execStmt(const Stmt* s);
-    /// Bytecode engine, lane-uniform Assign with telemetry, profiler and
+    /// Lane-uniform Assign with telemetry, profiler and
     /// transport all unarmed: the fused fast path. One pass resolves the
     /// fetch slots, applies any misses in place (same slot-major lane
     /// order and per-merge event memo as evalPhase + mergeWorkers), runs
@@ -402,42 +399,50 @@ private:
     /// reference to a per-instance scratch (or the constant all-procs
     /// set); valid until the next call.
     [[nodiscard]] const std::vector<int>& executorsOf(const Stmt* s);
-    /// Evaluate `e` on every executor against the frozen pre-statement
-    /// state, filling values_; parallel when the pool is active and the
-    /// executor set is wide enough. `directSym` != kNoSymbol (relaxed
-    /// merge, reduction accumulators only) additionally writes each
-    /// executor's result straight to its private accumulator copy,
-    /// skipping the ordered post-merge write loop.
+    /// Resolve every fetch slot of `plan` for this instance on the
+    /// oracle (flat index, SoA row), pre-resolve each slot some executor
+    /// misses, and flag the slots every executor holds. Returns true
+    /// when no executor misses any slot.
+    bool scanSlots(const StmtPlan& plan, const std::vector<int>& execs);
+    /// The statement's value chunk run once on the oracle's store (slot
+    /// element indices from the last scanSlots).
+    [[nodiscard]] double oracleValue(const StmtPlan& plan);
+    /// Evaluate the statement's chunk on every executor against the
+    /// frozen pre-statement state, filling values_; parallel when the
+    /// pool is active and the executor set is wide enough. `directSym`
+    /// != kNoSymbol (relaxed merge, reduction accumulators only)
+    /// additionally writes each executor's result straight to its
+    /// private accumulator copy, skipping the ordered post-merge write
+    /// loop.
     void evalPhase(const StmtPlan& plan, const std::vector<int>& execs,
-                   const Expr* e, SymbolId directSym = kNoSymbol);
+                   SymbolId directSym = kNoSymbol);
     void phaseWorker(int worker);
-    /// Bytecode engine: run the phase chunk over lanes [b, e) of the
+    /// Write values_[b, e) valid to executors execs[b, e)'s copies of
+    /// (sym, flat).
+    void storeLanes(SymbolId sym, std::int64_t flat,
+                    const std::vector<int>& execs, size_t b, size_t e);
+    /// Run the phase chunk over lanes [b, e) of the
     /// executor set on `w`'s register banks, filling values_.
     void runLanesInto(WorkerScratch& w, const StmtPlan& plan,
                       const std::vector<int>& execs, std::int64_t b,
                       std::int64_t e);
-    /// Bytecode engine: one lane's fetch of a slot its processor does
+    /// One lane's fetch of a slot its processor does
     /// not hold — pending-copy check, then the per-phase resolved
     /// (value, source) with the transfer recorded. Out of line: cold
     /// next to the contiguous SoA fast path.
     double missLaneBc(WorkerScratch& w, int proc, const StmtPlan& plan,
                       int slot);
-    /// Bytecode engine: resolve slot's miss once per phase (owner
+    /// Resolve slot's miss once per phase (owner
     /// validity is frozen within a phase, so every missing lane gets the
     /// identical value and source processor). Main thread only, before
     /// the pool runs — parallel workers read the memo, never write it.
     void resolveSlotMiss(const StmtPlan& plan, int slot, int firstProc);
-    /// Transcribe procStore_ into the lane-major SoA banks / back. The
-    /// banks are authoritative between run() start and end and across
-    /// checkpoint boundaries; procStore_ stays the external interface
-    /// (checkpoints, valueOn, maxErrorVsOracle).
-    void soaLoad();
-    void soaFlush();
-    /// SoA row base (element * procCount) of (sym, flat); bounds-checked
-    /// through Store::elemIndexOf like any store access.
+    /// SoA row base (element * procCount) of (sym, flat). The banks
+    /// share the oracle store's element layout, so the row is
+    /// bounds-checked through Store::elemIndexOf like any store access.
     [[nodiscard]] std::int64_t soaRowOf(SymbolId sym,
                                         std::int64_t flat) const {
-        return procStore_[0].elemIndexOf(sym, flat) * procCount_;
+        return oracle_.store().elemIndexOf(sym, flat) * procCount_;
     }
     /// Write `v` valid to every processor's copy of scalar/element
     /// (sym, flat) in the SoA banks (loop-variable and combine
@@ -452,20 +457,6 @@ private:
     /// Apply deferred store writes and account the recorded transfers,
     /// workers in index order (deterministic for any thread count).
     void mergeWorkers();
-    /// Evaluate `e` on processor `proc`, triggering communication for
-    /// any data the processor does not hold.
-    double evalOnW(WorkerScratch& w, int proc, const Expr* e);
-    /// Ensure `proc` holds the value of reference `ref`; fetch from the
-    /// owner through the covering comm op otherwise. `flat` is the
-    /// element's resolved flat index (0 for scalars).
-    double fetchW(WorkerScratch& w, int proc, const Expr* ref,
-                  std::int64_t flat);
-    double fetchW(WorkerScratch& w, int proc, const Expr* ref) {
-        return fetchW(w, proc, ref,
-                      ref->kind == ExprKind::ArrayRef
-                          ? refFlat_[static_cast<size_t>(ref->id)]
-                          : 0);
-    }
     /// Account one element transfer's message event (main thread).
     void noteEvent(const CommOp* op);
     /// Per-proc executed/skipped accounting for one statement instance.
@@ -476,13 +467,12 @@ private:
     /// wherever procMetrics_ must be externally coherent: checkpoint
     /// capture, run end (normal and fault exits).
     void flushAccounting();
-    /// Bytecode engine: the single processor of a fully-pinned
-    /// descriptor (execSingleton / slotSrcSingleton plans).
+    /// The single processor of a fully-pinned descriptor
+    /// (execSingleton / slotSrcSingleton plans).
     [[nodiscard]] int singleProcOfBc(const RefDesc& desc,
                                      const std::vector<bc::IndexForm>& forms);
-    void evalDescInto(const RefDesc& desc, GridSet& out) const;
-    /// Bytecode engine: evalDescInto through precompiled subscript
-    /// forms (one per grid dim, only Partitioned dims present).
+    /// The owner set of `desc` through its precompiled subscript forms
+    /// (one per grid dim, only Partitioned dims present).
     void evalDescIntoBc(const RefDesc& desc,
                         const std::vector<bc::IndexForm>& forms,
                         GridSet& out) const;
@@ -502,12 +492,10 @@ private:
     int procCount_;
     int elemBytes_;
     int threads_;
-    SimEngine engine_;
     bool relaxed_;
     TargetKind targetKind_;
     std::int64_t barrierEvents_ = 0;  ///< shm only; see barrierEvents()
     std::unique_ptr<LockstepPool> pool_;
-    std::vector<Store> procStore_;
     std::vector<ProcSimMetrics> procMetrics_;
     std::int64_t transfers_ = 0;
     std::int64_t procStmts_ = 0;
@@ -532,19 +520,17 @@ private:
     std::vector<int> coordsScratch_;
     std::vector<char> flagsScratch_;
     std::vector<double> values_;
-    std::vector<std::int64_t> refFlat_;  ///< by Expr::id, per instance
     std::vector<std::int64_t> ctxScratch_;
     std::vector<WorkerScratch> workers_;
-    /// Bytecode engine: per-instance flat index of each fetch slot
-    /// (resolved once on the oracle, like refFlat_).
+    /// Per-instance flat index of each fetch slot (resolved once on the
+    /// oracle).
     std::vector<std::int64_t> slotFlat_;
     std::vector<double> oracleRegs_;  ///< scalar VM register scratch
-    /// Bytecode engine: lane-major SoA state. Element e of processor p
-    /// lives at [e * procCount + p] (e = Store::elemIndexOf), so one
-    /// fetch reads procCount contiguous lanes and invalidating every
-    /// copy of an element is a procCount-byte memset. Authoritative
-    /// while run() executes; transcribed from/to procStore_ at run and
-    /// checkpoint boundaries (soaLoad/soaFlush).
+    /// The per-processor state, lane-major. Element e of processor p
+    /// lives at [e * procCount + p] (e = Store::elemIndexOf on the
+    /// oracle's store), so one fetch reads procCount contiguous lanes
+    /// and invalidating every copy of an element is a procCount-byte
+    /// memset.
     std::vector<double> soa_;
     std::vector<char> soaValid_;
     /// Per-phase slot scratch: SoA row base / store element index of
@@ -575,7 +561,7 @@ private:
     /// guaranteed duplicate).
     std::vector<std::uint64_t> opStamp_;
     std::uint64_t mergeStamp_ = 0;
-    /// Set by evalPhase: the bytecode slot pre-scan found every executor
+    /// Set by evalPhase: the slot pre-scan found every executor
     /// valid on every slot, so no worker can have recorded a pending
     /// write or miss — the merge is a provable no-op and execStmt skips
     /// it when no sampler needs its tick.
@@ -585,7 +571,6 @@ private:
 
     // --- current phase (set by evalPhase, read by workers) ---
     const std::vector<int>* phaseExecs_ = nullptr;
-    const Expr* phaseExpr_ = nullptr;
     const StmtPlan* phasePlan_ = nullptr;
     SymbolId phaseDirect_ = kNoSymbol;  ///< relaxed in-phase write target
 

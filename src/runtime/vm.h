@@ -20,13 +20,11 @@ void validate(const bc::Chunk& ch, int slotCount);
 /// caller-owned scratch.
 ///
 /// `fetch(dst, lanes, slot)` fills dst[0..lanes) with the slot's
-/// operand for every lane — row granularity, so an engine whose state
-/// is lane-major (the simulator's SoA banks) loads a fully-valid slot
-/// with one contiguous copy instead of `lanes` callback dispatches.
-/// Fetch instructions execute in postorder and a row fills lanes in
-/// ascending order, so the (slot, lane) side-effect sequence is a
-/// deterministic reordering of the interpreter's (lane, slot) order
-/// with identical outcomes (see SpmdSimulator's engine notes).
+/// operand for every lane — row granularity, so lane-major state (the
+/// simulator's SoA banks) loads a fully-valid slot with one contiguous
+/// copy instead of `lanes` callback dispatches. Fetch instructions
+/// execute in postorder and a row fills lanes in ascending order, so
+/// the (slot, lane) side-effect sequence is deterministic.
 ///
 /// The result of the expression is register bank 0.
 template <typename FetchFn>

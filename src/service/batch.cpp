@@ -99,13 +99,7 @@ bool parseOptions(const obs::Json& o, BatchJob* job, std::string* err) {
             job->target.costModel.elemBytes = static_cast<int>(v.intValue());
         else if (key == "combine_messages")
             job->target.costModel.combineMessages = v.boolValue();
-        else if (key == "sim_engine") {
-            if (!parseSimEngine(v.stringValue(), &job->passes.simEngine)) {
-                *err = "bad sim_engine '" + v.stringValue() +
-                       "' (want interp|bytecode)";
-                return false;
-            }
-        } else if (key == "relaxed_merge")
+        else if (key == "relaxed_merge")
             job->passes.relaxedMerge = v.boolValue();
         else if (key == "target") {
             if (!parseTargetKind(v.stringValue(),
@@ -236,7 +230,6 @@ obs::Json batchJobToJson(const BatchJob& job, bool resolveFiles) {
     o.set("rewrite_induction", job.passes.rewriteInduction);
     o.set("elem_bytes", job.target.costModel.elemBytes);
     o.set("combine_messages", job.target.costModel.combineMessages);
-    o.set("sim_engine", simEngineName(job.passes.simEngine));
     o.set("relaxed_merge", job.passes.relaxedMerge);
     o.set("target", targetKindName(job.target.targetKind));
     j.set("options", std::move(o));

@@ -81,13 +81,8 @@ std::string canonicalOptionsKey(const TargetConfig& target,
     appendBool(k, "auto_array_priv", m.autoArrayPrivatization);
     appendBool(k, "cf_priv", m.controlFlowPrivatization);
     appendBool(k, "induction", passes.rewriteInduction);
-    // The simulator engine and relaxed-merge mode are part of the
-    // artifact identity: strict-mode engines are bit-identical, but a
-    // cached interp artifact must not satisfy a bytecode request (the
-    // report and benchmarks label the engine), and relaxed merges are
-    // numerically distinct for non-integer SUM reductions.
-    k += passes.simEngine == SimEngine::Bytecode ? "engine=bytecode;"
-                                                 : "engine=interp;";
+    // The relaxed-merge mode is part of the artifact identity: relaxed
+    // merges are numerically distinct for non-integer SUM reductions.
     appendBool(k, "relaxed", passes.relaxedMerge);
     // simThreads intentionally absent: see header.
     return k;

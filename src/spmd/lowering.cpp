@@ -118,7 +118,6 @@ void SpmdLowering::addCommFor(Stmt* s, Expr* root, const RefDesc& execDesc) {
 }
 
 void SpmdLowering::lowerStmt(Stmt* s) {
-    const RefDescriber rd = describer();
     StmtExec ex;
     ex.execDesc = RefDesc::replicated(dm_.grid().rank());
 

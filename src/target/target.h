@@ -22,8 +22,8 @@ namespace phpf {
 ///
 /// The contract a backend must keep (see DESIGN.md for the narrative
 /// version):
-///  - lower() must produce a lowering every engine of the functional
-///    simulator can execute: the guard/comm-op STRUCTURE is shared
+///  - lower() must produce a lowering the functional simulator can
+///    execute: the guard/comm-op STRUCTURE is shared
 ///    across targets, only its interpretation (messages vs. coherence
 ///    reads) differs. A target that needs structurally different
 ///    lowering must also teach SpmdSimulator its semantics.

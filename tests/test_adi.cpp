@@ -80,7 +80,9 @@ TEST(Adi, PipelineCommScalesWithBoundaries) {
         TargetConfig opts;
         opts.gridExtents = {procs};
         const CostBreakdown cb = Compiler::compile(p, opts).predictCost();
-        if (prevComm >= 0.0) EXPECT_GE(cb.commSec, prevComm * 0.99);
+        if (prevComm >= 0.0) {
+            EXPECT_GE(cb.commSec, prevComm * 0.99);
+        }
         prevComm = cb.commSec;
     }
 }

@@ -102,8 +102,11 @@ TEST(HashRing, RemovalMovesOnlyTheDeadNodesShare) {
     EXPECT_GT(w3Keys, 0);
     EXPECT_EQ(moved, 0);
     // And they re-route to survivors, spread around.
-    for (const auto& [key, owner] : before)
-        if (owner == "w3") EXPECT_NE(ring.ownerOf(key), "w3");
+    for (const auto& [key, owner] : before) {
+        if (owner == "w3") {
+            EXPECT_NE(ring.ownerOf(key), "w3");
+        }
+    }
 }
 
 TEST(HashRing, ReAddRestoresOwnership) {
@@ -293,7 +296,10 @@ TEST(ClusterWorker, CompileAndArtifactFetch) {
 TEST(ClusterWorker, MalformedCompileBodyIs400) {
     auto w = startWorker();
     HttpResult r = cluster::httpPost("127.0.0.1", w->port(), "/compile",
-                                     "{\"v\":1,\"job\":{}}", 10000);
+                                     "{\"v\":" +
+                                         std::to_string(cluster::kWireVersion) +
+                                         ",\"job\":{}}",
+                                     10000);
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_EQ(r.status, 400);
 }

@@ -231,8 +231,11 @@ TEST(SpanStitch, OrphansLandUnderASyntheticLostSpan) {
     // The lost span covers its orphans, and both parent under it.
     EXPECT_LE(lost->startNs, 50);
     EXPECT_GE(lost->startNs + lost->durNs, 65);
-    for (const auto& s : spans)
-        if (s.name != "lost:w7") EXPECT_EQ(s.parent, lost->id);
+    for (const auto& s : spans) {
+        if (s.name != "lost:w7") {
+            EXPECT_EQ(s.parent, lost->id);
+        }
+    }
 }
 
 TEST(SpanStitch, CtxEdgeParentsUnderTheCoordinatorSpan) {

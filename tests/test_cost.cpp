@@ -32,7 +32,9 @@ TEST(Cost, ComputeScalesWithProcessors) {
     for (int procs : {1, 2, 4, 8}) {
         Program p = programs::tomcatv(64, 2);
         const double c = costOf(p, {procs}).computeSec;
-        if (procs > 1) EXPECT_LT(c, prev * 0.75) << procs;
+        if (procs > 1) {
+            EXPECT_LT(c, prev * 0.75) << procs;
+        }
         prev = c;
     }
 }

@@ -25,7 +25,9 @@ TEST(SimConsistency, DgefaLargerFactorizationAcrossGrids) {
         Compilation c = Compiler::compile(p, opts);
         auto sim = c.simulate({.seed = [](Interpreter& o) { seedDgefa(o, 16); }});
         EXPECT_EQ(sim->maxErrorVsOracle("A"), 0.0) << procs;
-        if (procs > 1) EXPECT_GT(sim->messageEvents(), 0);
+        if (procs > 1) {
+            EXPECT_GT(sim->messageEvents(), 0);
+        }
     }
 }
 

@@ -45,7 +45,6 @@ TEST(Target, TargetKindNamesRoundTrip) {
 TEST(Target, ExecSelectionRoundTripsThroughItsPrintedForm) {
     ExecSelection sel;
     sel.target = TargetKind::SharedMemory;
-    sel.engine = SimEngine::Interp;
     sel.relaxedMerge = true;
 
     ExecSelection reparsed;
@@ -55,25 +54,23 @@ TEST(Target, ExecSelectionRoundTripsThroughItsPrintedForm) {
     // Key-by-key parsing accepts the documented spellings...
     ExecSelection s2;
     EXPECT_TRUE(parseExecSelection("target", "shm", &s2));
-    EXPECT_TRUE(parseExecSelection("sim_engine", "interp", &s2));
     EXPECT_TRUE(parseExecSelection("relaxed_merge", "on", &s2));
     EXPECT_EQ(s2, sel);
     // ...and rejects unknown keys/values without touching the output.
     EXPECT_FALSE(parseExecSelection("target", "simd", &s2));
     EXPECT_FALSE(parseExecSelection("backend", "mp", &s2));
+    EXPECT_FALSE(parseExecSelection("engine", "bytecode", &s2));
     EXPECT_EQ(s2, sel);
 }
 
 TEST(Target, ExecSelectionAppliesToConfigAndReadsBack) {
     ExecSelection sel;
     sel.target = TargetKind::SharedMemory;
-    sel.engine = SimEngine::Interp;
     sel.relaxedMerge = true;
     TargetConfig target;
     PassOptions passes;
     sel.applyTo(&target, &passes);
     EXPECT_EQ(target.targetKind, TargetKind::SharedMemory);
-    EXPECT_EQ(passes.simEngine, SimEngine::Interp);
     EXPECT_TRUE(passes.relaxedMerge);
     EXPECT_EQ(ExecSelection::selectionOf(target, passes), sel);
 }

@@ -616,7 +616,9 @@ TEST(TelemetryFlightRecorder, ConcurrentWritersNeverTearSlots) {
         ASSERT_GE(e.detail.size(), 2u);
         EXPECT_EQ(e.type.substr(1), e.detail.substr(1))
             << e.type << " / " << e.detail;
-        if (prevSeq != 0) EXPECT_GT(e.seq, prevSeq);
+        if (prevSeq != 0) {
+            EXPECT_GT(e.seq, prevSeq);
+        }
         prevSeq = e.seq;
     }
 }

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <fstream>
+#include <map>
 
 #include "driver/compiler.h"
 #include "programs/programs.h"
 #include "runtime/bytecode.h"
 #include "runtime/vm.h"
+#include "sim_golden.h"
 #include "support/arena.h"
 #include "support/fault.h"
 
@@ -151,55 +154,115 @@ TEST(IndexForm, AffineFormsMatchSubscriptTrees) {
 }
 
 // =====================================================================
-// Differential: the interp and bytecode engines are bit-identical in
-// results AND every exposed metric, for every kernel, at 1/2/4 lockstep
-// threads, with identical profiler counts and identical
-// checkpoint/crash-replay behaviour.
+// Differential: the simulator against golden records
+// (tests/golden/spmd_sim.txt; see sim_golden.h) generated while the
+// tree-walking and bytecode engines ran side by side and agreed on
+// results AND every exposed metric — every kernel and Table 1-3
+// compiler level at 1/2/4 lockstep threads, with the profiler armed,
+// and under checkpoint/crash replay — plus oracle error 0 throughout.
 
-struct Snapshot {
-    std::int64_t transfers = 0;
-    std::int64_t events = 0;
-    std::int64_t procStmts = 0;
-    double imbalance = 0.0;
-    std::vector<ProcSimMetrics> perProc;
-    std::vector<std::int64_t> perOpEvents;
-    std::vector<std::int64_t> perOpElems;
-    std::vector<double> errors;
-};
-
-Snapshot snap(const Compilation& c, const SpmdSimulator& sim,
-              const std::vector<std::string>& outputs) {
-    Snapshot s;
-    s.transfers = sim.elementTransfers();
-    s.events = sim.messageEvents();
-    s.procStmts = sim.statementsExecutedAllProcs();
-    s.imbalance = sim.imbalanceRatio();
-    s.perProc = sim.procMetrics();
-    for (const CommOp& op : c.lowering().commOps()) {
-        s.perOpEvents.push_back(sim.eventsOfOp(op.id));
-        s.perOpElems.push_back(sim.elementsOfOp(op.id));
-    }
-    for (const std::string& name : outputs)
-        s.errors.push_back(sim.maxErrorVsOracle(name));
-    return s;
+const std::map<std::string, std::string>& goldens() {
+    static const std::map<std::string, std::string> g = [] {
+        std::ifstream in(PHPF_GOLDEN_DIR "/spmd_sim.txt");
+        EXPECT_TRUE(in.good()) << "cannot read " PHPF_GOLDEN_DIR
+                                  "/spmd_sim.txt";
+        return golden::parseGoldens(in);
+    }();
+    return g;
 }
 
-void expectSnapshotsIdentical(const Snapshot& a, const Snapshot& b) {
-    EXPECT_EQ(a.transfers, b.transfers);
-    EXPECT_EQ(a.events, b.events);
-    EXPECT_EQ(a.procStmts, b.procStmts);
-    EXPECT_EQ(a.imbalance, b.imbalance);  // bitwise, not approximate
-    EXPECT_EQ(a.perOpEvents, b.perOpEvents);
-    EXPECT_EQ(a.perOpElems, b.perOpElems);
-    EXPECT_EQ(a.errors, b.errors);
-    ASSERT_EQ(a.perProc.size(), b.perProc.size());
-    for (size_t p = 0; p < a.perProc.size(); ++p) {
-        EXPECT_EQ(a.perProc[p].stmtsExecuted, b.perProc[p].stmtsExecuted);
-        EXPECT_EQ(a.perProc[p].stmtsSkipped, b.perProc[p].stmtsSkipped);
-        EXPECT_EQ(a.perProc[p].recvElements, b.perProc[p].recvElements);
-        EXPECT_EQ(a.perProc[p].sentElements, b.perProc[p].sentElements);
+/// Checks a finished run against golden block `key` (with `extra`
+/// appended to the computed record) and against its oracle.
+void expectGolden(const golden::SimCase& k, const Compilation& c,
+                  SpmdSimulator& sim, const std::string& key,
+                  const std::string& extra = "") {
+    const auto it = goldens().find(key);
+    ASSERT_NE(it, goldens().end()) << "no golden record [" << key << "]";
+    EXPECT_EQ(golden::recordOf(c, sim) + extra, it->second) << key;
+    for (const std::string& name : k.outputs)
+        EXPECT_EQ(sim.maxErrorVsOracle(name), 0.0) << key << " " << name;
+}
+
+golden::SimCase kernelNamed(const std::string& id) {
+    for (golden::SimCase& k : golden::kernels())
+        if (k.id == id) return k;
+    ADD_FAILURE() << "no kernel " << id;
+    return {};
+}
+
+void expectGoldenAcrossThreads(const golden::SimCase& k, bool profile) {
+    Program p = k.build();
+    const Compilation c = k.compile(p);
+    for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE(k.id + " threads=" + std::to_string(threads));
+        auto sim =
+            c.simulate({.threads = threads, .seed = k.seed, .profile = profile});
+        expectGolden(k, c, *sim, k.id + (profile ? "/profile" : ""));
     }
 }
+
+TEST(VmDifferential, EnginesBitIdenticalAcrossKernelsAndThreadCounts) {
+    for (const golden::SimCase& k : golden::kernels())
+        expectGoldenAcrossThreads(k, /*profile=*/false);
+}
+
+TEST(VmDifferential, PaperTableLevelsMatchGoldens) {
+    for (const golden::SimCase& k : golden::paperLevels())
+        expectGoldenAcrossThreads(k, /*profile=*/false);
+}
+
+TEST(VmDifferential, ProfilerCountsIdenticalAcrossEngines) {
+    // Sample *counts* are part of the record (durations are not).
+    for (const golden::SimCase& k : golden::kernels())
+        expectGoldenAcrossThreads(k, /*profile=*/true);
+}
+
+TEST(VmDifferential, CrashReplayBitIdenticalOnEitherEngine) {
+    for (const char* which : {"tomcatv", "dgefa"}) {
+        const golden::SimCase k = kernelNamed(which);
+        Program p = k.build();
+        const Compilation c = k.compile(p);
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE(std::string(which) + " threads=" +
+                         std::to_string(threads));
+            FaultInjector inj;
+            ASSERT_TRUE(inj.configure("proc.crash:nth=17;limit=3"));
+            auto sim = c.simulate({.threads = threads,
+                                   .seed = k.seed,
+                                   .faults = &inj,
+                                   .checkpointEvery = 10});
+            EXPECT_GT(sim->recoveries(), 0);
+            EXPECT_GT(sim->checkpointsTaken(), 1);
+            // The recovered run is the fault-free run, bit for bit...
+            expectGolden(k, c, *sim, k.id);
+            // ...after the recorded number of restores.
+            expectGolden(k, c, *sim, k.id + "/crash",
+                         "recoveries " + std::to_string(sim->recoveries()) +
+                             "\ncheckpoints " +
+                             std::to_string(sim->checkpointsTaken()) + "\n");
+        }
+    }
+}
+
+TEST(VmDifferential, NanInTheOracleCountsAsAMismatch) {
+    // std::max(err, NaN) keeps err, so a max-of-differences fold alone
+    // reads a NaN difference as error 0. Plant one under a valid copy.
+    const golden::SimCase k = kernelNamed("fig1");
+    Program p = k.build();
+    const Compilation c = k.compile(p);
+    auto sim = c.simulate({.threads = 1, .seed = k.seed});
+    ASSERT_EQ(sim->maxErrorVsOracle("A"), 0.0);
+    std::int64_t flat = 0;
+    while (!sim->validOn(0, "A", flat)) ++flat;
+    const SymbolId a = c.program().findSymbol("A");
+    sim->oracle().store().set(a, flat, std::nan(""));
+    EXPECT_NE(sim->maxErrorVsOracle("A"), 0.0);
+    EXPECT_TRUE(std::isinf(sim->maxErrorVsOracle("A")));
+}
+
+// =====================================================================
+// Relaxed reduction merge: exact for MAX/MIN always and for
+// integer-valued SUM accumulators; count metrics never change.
 
 /// Bitwise comparison of the two runs' final oracle stores — every
 /// symbol, every element, not just the program outputs.
@@ -213,214 +276,27 @@ void expectOracleStoresIdentical(SpmdSimulator& a, SpmdSimulator& b) {
               0);
 }
 
-struct Kernel {
-    const char* name;
-    std::function<Program()> build;
-    std::vector<int> grid;
-    std::function<void(Interpreter&)> seed;
-    std::vector<std::string> outputs;
-};
-
-std::vector<Kernel> kernels() {
-    std::vector<Kernel> ks;
-    ks.push_back({"fig1", [] { return programs::fig1(24); }, {4},
-                  [](Interpreter& o) {
-                      for (std::int64_t i = 1; i <= 25; ++i) {
-                          if (i <= 24) {
-                              o.setElement("B", {i},
-                                           static_cast<double>(i));
-                              o.setElement("C", {i}, 1.0);
-                              o.setElement("E", {i}, 2.0);
-                              o.setElement("F", {i}, 2.0);
-                          }
-                          o.setElement("A", {i}, 0.5);
-                      }
-                  },
-                  {"A", "D"}});
-    ks.push_back({"fig6", [] { return programs::fig6(10, 10, 10); },
-                  {2, 2},
-                  [](Interpreter& o) {
-                      for (std::int64_t m = 1; m <= 5; ++m)
-                          for (std::int64_t i = 1; i <= 10; ++i)
-                              for (std::int64_t j = 1; j <= 10; ++j)
-                                  for (std::int64_t k = 1; k <= 10; ++k)
-                                      o.setElement(
-                                          "rsd", {m, i, j, k},
-                                          0.01 * static_cast<double>(m + i) +
-                                              0.001 *
-                                                  static_cast<double>(j * k));
-                  },
-                  {"rsd"}});
-    ks.push_back({"fig7", [] { return programs::fig7(16); }, {4},
-                  [](Interpreter& o) {
-                      for (std::int64_t i = 1; i <= 16; ++i) {
-                          o.setElement("A", {i}, 0.25 * static_cast<double>(i));
-                          o.setElement("B", {i},
-                                       static_cast<double>(17 - i));
-                          o.setElement("C", {i},
-                                       static_cast<double>(i % 5) - 2.0);
-                      }
-                  },
-                  {"A"}});
-    ks.push_back({"tomcatv", [] { return programs::tomcatv(10, 2); }, {4},
-                  [](Interpreter& o) {
-                      for (std::int64_t i = 1; i <= 10; ++i)
-                          for (std::int64_t j = 1; j <= 10; ++j) {
-                              o.setElement("x", {i, j},
-                                           static_cast<double>(i) +
-                                               0.1 * static_cast<double>(j));
-                              o.setElement("y", {i, j},
-                                           static_cast<double>(j) -
-                                               0.05 * static_cast<double>(i));
-                          }
-                  },
-                  {"x", "y"}});
-    ks.push_back({"dgefa", [] { return programs::dgefa(12); }, {4},
-                  [](Interpreter& o) {
-                      for (std::int64_t r = 1; r <= 12; ++r)
-                          for (std::int64_t c = 1; c <= 12; ++c)
-                              o.setElement(
-                                  "A", {r, c},
-                                  r == c ? 10.0 + static_cast<double>(r)
-                                         : 1.0 / static_cast<double>(r + c));
-                  },
-                  {"A"}});
-    ks.push_back({"appsp",
-                  [] { return programs::appsp(6, 6, 6, 1, /*oneD=*/true); },
-                  {4},
-                  [](Interpreter& o) {
-                      for (std::int64_t m = 1; m <= 5; ++m)
-                          for (std::int64_t i = 1; i <= 6; ++i)
-                              for (std::int64_t j = 1; j <= 6; ++j)
-                                  for (std::int64_t k = 1; k <= 6; ++k)
-                                      o.setElement(
-                                          "rsd", {m, i, j, k},
-                                          0.01 * static_cast<double>(m + i) +
-                                              0.001 *
-                                                  static_cast<double>(j * k));
-                  },
-                  {"rsd"}});
-    return ks;
+/// fig5: s = sum over A(i,j); integer seeds keep every partial sum
+/// integral, so the relaxed reassociation is exact.
+void seedFig5(Interpreter& o) {
+    for (std::int64_t i = 1; i <= 12; ++i)
+        for (std::int64_t j = 1; j <= 12; ++j)
+            o.setElement("A", {i, j}, static_cast<double>((i * 3 + j) % 7));
 }
 
-TEST(VmDifferential, EnginesBitIdenticalAcrossKernelsAndThreadCounts) {
-    for (const Kernel& k : kernels()) {
-        Program p = k.build();
-        TargetConfig opts;
-        opts.gridExtents = k.grid;
-        Compilation c = Compiler::compile(p, opts);
-        for (const int threads : {1, 2, 4}) {
-            auto interp = c.simulate({.threads = threads,
-                                      .seed = k.seed,
-                                      .engine = SimEngine::Interp});
-            auto bytecode = c.simulate({.threads = threads,
-                                        .seed = k.seed,
-                                        .engine = SimEngine::Bytecode});
-            EXPECT_EQ(interp->engine(), SimEngine::Interp);
-            EXPECT_EQ(bytecode->engine(), SimEngine::Bytecode);
-            const Snapshot si = snap(c, *interp, k.outputs);
-            const Snapshot sb = snap(c, *bytecode, k.outputs);
-            SCOPED_TRACE(std::string(k.name) + " threads=" +
-                         std::to_string(threads));
-            // Both engines track the sequential oracle exactly...
-            for (const double err : si.errors) EXPECT_EQ(err, 0.0);
-            // ...and match each other bit for bit, state and metrics.
-            expectSnapshotsIdentical(si, sb);
-            expectOracleStoresIdentical(*interp, *bytecode);
-        }
-    }
-}
-
-TEST(VmDifferential, ProfilerCountsIdenticalAcrossEngines) {
-    for (const Kernel& k : kernels()) {
-        Program p = k.build();
-        TargetConfig opts;
-        opts.gridExtents = k.grid;
-        Compilation c = Compiler::compile(p, opts);
-        auto interp = c.simulate({.threads = 1,
-                                  .seed = k.seed,
-                                  .profile = true,
-                                  .engine = SimEngine::Interp});
-        auto bytecode = c.simulate({.threads = 1,
-                                    .seed = k.seed,
-                                    .profile = true,
-                                    .engine = SimEngine::Bytecode});
-        const obs::StmtProfile* a = interp->profile();
-        const obs::StmtProfile* b = bytecode->profile();
-        ASSERT_NE(a, nullptr);
-        ASSERT_NE(b, nullptr);
-        ASSERT_EQ(a->stmtCount(), b->stmtCount());
-        for (int id = 0; id < a->stmtCount(); ++id) {
-            SCOPED_TRACE(std::string(k.name) + " stmt " +
-                         std::to_string(id));
-            const auto& ra = a->row(id);
-            const auto& rb = b->row(id);
-            EXPECT_EQ(ra.instances, rb.instances);
-            EXPECT_EQ(ra.procStmts, rb.procStmts);
-            EXPECT_EQ(ra.elements, rb.elements);
-            EXPECT_EQ(ra.events, rb.events);
-            // Sample *counts* are deterministic (durations are not).
-            EXPECT_EQ(ra.evalSamples, rb.evalSamples);
-            EXPECT_EQ(ra.mergeSamples, rb.mergeSamples);
-        }
-    }
-}
-
-TEST(VmDifferential, CrashReplayBitIdenticalOnEitherEngine) {
-    for (const char* which : {"tomcatv", "dgefa"}) {
-        for (const SimEngine engine :
-             {SimEngine::Interp, SimEngine::Bytecode}) {
-            const auto ks = kernels();
-            const Kernel& k = *std::find_if(
-                ks.begin(), ks.end(),
-                [&](const Kernel& c) { return std::string(c.name) == which; });
-            Program p = k.build();
-            TargetConfig opts;
-            opts.gridExtents = k.grid;
-            Compilation c = Compiler::compile(p, opts);
-            auto plain =
-                c.simulate({.threads = 1, .seed = k.seed, .engine = engine});
-            FaultInjector inj;
-            ASSERT_TRUE(inj.configure("proc.crash:nth=17;limit=3"));
-            auto recovered = c.simulate({.threads = 1,
-                                         .seed = k.seed,
-                                         .faults = &inj,
-                                         .checkpointEvery = 10,
-                                         .engine = engine});
-            SCOPED_TRACE(std::string(which) + " engine=" +
-                         simEngineName(engine));
-            EXPECT_GT(recovered->recoveries(), 0);
-            EXPECT_GT(recovered->checkpointsTaken(), 1);
-            expectSnapshotsIdentical(snap(c, *plain, k.outputs),
-                                     snap(c, *recovered, k.outputs));
-            expectOracleStoresIdentical(*plain, *recovered);
-        }
-    }
-}
-
-// =====================================================================
-// Relaxed reduction merge: exact for MAX/MIN always and for
-// integer-valued SUM accumulators; count metrics never change.
-
-TEST(RelaxedMerge, IntegerSumsStayExactWithIdenticalCountMetrics) {
-    // fig5: s = sum over A(i,j); integer seeds keep every partial sum
-    // integral, so the relaxed reassociation is exact.
-    Program p = programs::fig5(12);
+Compilation compileFig5(Program& p) {
     TargetConfig opts;
     opts.gridExtents = {2, 2};
-    Compilation c = Compiler::compile(p, opts);
-    const auto seed = [](Interpreter& o) {
-        for (std::int64_t i = 1; i <= 12; ++i)
-            for (std::int64_t j = 1; j <= 12; ++j)
-                o.setElement("A", {i, j},
-                             static_cast<double>((i * 3 + j) % 7));
-    };
-    auto strict = c.simulate({.threads = 1, .seed = seed,
-                              .engine = SimEngine::Bytecode,
-                              .relaxedMerge = false});
-    auto relaxed = c.simulate({.threads = 1, .seed = seed,
-                               .engine = SimEngine::Bytecode,
-                               .relaxedMerge = true});
+    return Compiler::compile(p, opts);
+}
+
+TEST(RelaxedMerge, IntegerSumsStayExactWithIdenticalCountMetrics) {
+    Program p = programs::fig5(12);
+    const Compilation c = compileFig5(p);
+    auto strict =
+        c.simulate({.threads = 1, .seed = seedFig5, .relaxedMerge = false});
+    auto relaxed =
+        c.simulate({.threads = 1, .seed = seedFig5, .relaxedMerge = true});
     EXPECT_FALSE(strict->relaxedMerge());
     EXPECT_TRUE(relaxed->relaxedMerge());
     expectOracleStoresIdentical(*strict, *relaxed);
@@ -430,24 +306,36 @@ TEST(RelaxedMerge, IntegerSumsStayExactWithIdenticalCountMetrics) {
               relaxed->statementsExecutedAllProcs());
 }
 
+TEST(RelaxedMerge, CrashReplayRestoresThePerProcessorCopies) {
+    // Relaxed SUM combines read the per-processor accumulator copies, so
+    // a replay must restore their values from the checkpoint, not just
+    // their validity (strict combines broadcast the oracle's value).
+    Program p = programs::fig5(12);
+    const Compilation c = compileFig5(p);
+    auto plain =
+        c.simulate({.threads = 1, .seed = seedFig5, .relaxedMerge = true});
+    FaultInjector inj;
+    ASSERT_TRUE(inj.configure("proc.crash:nth=5;limit=40"));
+    auto recovered = c.simulate({.threads = 1,
+                                 .seed = seedFig5,
+                                 .faults = &inj,
+                                 .checkpointEvery = 3,
+                                 .relaxedMerge = true});
+    EXPECT_EQ(recovered->recoveries(), 40);
+    EXPECT_EQ(golden::recordOf(c, *recovered), golden::recordOf(c, *plain));
+}
+
 TEST(RelaxedMerge, MaxLocReductionsStayExact) {
     // dgefa's pivot search is MAXLOC — exact under relaxed merging for
     // any values, tie-breaks included (lowest linear proc order matches
     // the oracle's sequential scan).
-    const auto ks = kernels();
-    const Kernel& k = *std::find_if(
-        ks.begin(), ks.end(),
-        [](const Kernel& c) { return std::string(c.name) == "dgefa"; });
+    const golden::SimCase k = kernelNamed("dgefa");
     Program p = k.build();
-    TargetConfig opts;
-    opts.gridExtents = k.grid;
-    Compilation c = Compiler::compile(p, opts);
-    auto strict = c.simulate({.threads = 1, .seed = k.seed,
-                              .engine = SimEngine::Bytecode,
-                              .relaxedMerge = false});
-    auto relaxed = c.simulate({.threads = 1, .seed = k.seed,
-                               .engine = SimEngine::Bytecode,
-                               .relaxedMerge = true});
+    const Compilation c = k.compile(p);
+    auto strict =
+        c.simulate({.threads = 1, .seed = k.seed, .relaxedMerge = false});
+    auto relaxed =
+        c.simulate({.threads = 1, .seed = k.seed, .relaxedMerge = true});
     expectOracleStoresIdentical(*strict, *relaxed);
     EXPECT_EQ(strict->elementTransfers(), relaxed->elementTransfers());
     EXPECT_EQ(strict->messageEvents(), relaxed->messageEvents());
