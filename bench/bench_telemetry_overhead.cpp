@@ -1,17 +1,18 @@
-// Overhead of the telemetry layer (per-phase histograms, concurrent
-// tracer, armed flight recorder) on the SPMD simulator hot path.
+// Overhead of the telemetry layer (per-phase histograms, tracer, armed
+// flight recorder) on the SPMD simulator hot path.
 //
-// Telemetry is strictly opt-in: with no registry and no tracer attached
+// Telemetry is strictly opt-in: with no registry and a disabled tracer
 // the simulator pays one null check per phase, and a disabled flight
 // recorder costs one relaxed load per record site. This bench measures
 // the same TOMCATV workload in two configurations:
 //
-//   disabled — setTelemetry(nullptr, nullptr), flight recorder off:
-//              the default every non-instrumented run gets
+//   disabled — no MetricRegistry, a disabled Tracer, flight recorder
+//              off: the cheapest run simulate() can make
 //   armed    — a live MetricRegistry (per-phase histograms), a live
-//              ConcurrentTracer (per-worker spans), and the global
-//              flight recorder enabled but with nothing firing into it
-//              beyond the simulator's own checkpoint events
+//              Tracer (simulate/sim-exec and per-worker spans), and
+//              the global flight recorder enabled but with nothing
+//              firing into it beyond the simulator's own checkpoint
+//              events
 //
 // and enforces that the ARMED-but-idle layer stays within 2% of the
 // disabled run (median of interleaved runs; one re-measure round with
@@ -27,9 +28,9 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "obs/concurrent_trace.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace {
 
@@ -57,11 +58,11 @@ struct RunResult {
 };
 
 RunResult runWith(const Compilation& c, obs::MetricRegistry* metrics,
-                  obs::ConcurrentTracer* tracer) {
+                  obs::Tracer* tracer) {
     SimulationRequest req;
     req.seed = seedTomcatv;
     req.metrics = metrics;
-    req.ctracer = tracer;
+    req.tracer = tracer;
     auto sim = c.simulate(req);
     return {sim->wallSec(), sim->elementTransfers(), sim->messageEvents(),
             sim->statementsExecutedAllProcs()};
@@ -90,11 +91,11 @@ double median(std::vector<double> v) {
 /// medians of each. The armed run's tracer is cleared between runs so
 /// span storage never grows across repetitions.
 void measure(const Compilation& c, obs::MetricRegistry& reg,
-             obs::ConcurrentTracer& tracer, int reps, double* disabledSec,
-             double* armedSec) {
+             obs::Tracer& off, obs::Tracer& tracer, int reps,
+             double* disabledSec, double* armedSec) {
     std::vector<double> disabled, armed;
     for (int i = 0; i < reps; ++i) {
-        disabled.push_back(runWith(c, nullptr, nullptr).wall);
+        disabled.push_back(runWith(c, nullptr, &off).wall);
         armed.push_back(runWith(c, &reg, &tracer).wall);
         tracer.clear();
     }
@@ -109,22 +110,23 @@ void printTable() {
     Compilation c = Compiler::compile(p, opts);
 
     obs::MetricRegistry reg;
-    obs::ConcurrentTracer tracer;
+    obs::Tracer off(false);
+    obs::Tracer tracer;
     obs::FlightRecorder::global().setEnabled(true);
 
     // Warm-up + divergence gate.
-    const RunResult base = runWith(c, nullptr, nullptr);
+    const RunResult base = runWith(c, nullptr, &off);
     requireIdentical(base, runWith(c, &reg, &tracer), "armed-telemetry");
     tracer.clear();
 
     double disabledSec = 0, armedSec = 0;
-    measure(c, reg, tracer, 7, &disabledSec, &armedSec);
+    measure(c, reg, off, tracer, 7, &disabledSec, &armedSec);
     double overheadPct = 100.0 * (armedSec - disabledSec) / disabledSec;
     if (overheadPct >= 2.0) {
         // One re-measure with more repetitions before declaring a real
         // regression: CI neighbours cause >2% blips that a longer
         // median absorbs.
-        measure(c, reg, tracer, 11, &disabledSec, &armedSec);
+        measure(c, reg, off, tracer, 11, &disabledSec, &armedSec);
         overheadPct = 100.0 * (armedSec - disabledSec) / disabledSec;
     }
 
@@ -152,8 +154,9 @@ void BM_SimTelemetryDisabled(benchmark::State& state) {
     TargetConfig opts;
     opts.gridExtents = {8};
     Compilation c = Compiler::compile(p, opts);
+    obs::Tracer off(false);
     for (auto _ : state) {
-        const RunResult r = runWith(c, nullptr, nullptr);
+        const RunResult r = runWith(c, nullptr, &off);
         benchmark::DoNotOptimize(r.transfers);
     }
 }
@@ -164,7 +167,7 @@ void BM_SimTelemetryArmed(benchmark::State& state) {
     opts.gridExtents = {8};
     Compilation c = Compiler::compile(p, opts);
     obs::MetricRegistry reg;
-    obs::ConcurrentTracer tracer;
+    obs::Tracer tracer;
     for (auto _ : state) {
         const RunResult r = runWith(c, &reg, &tracer);
         benchmark::DoNotOptimize(r.transfers);

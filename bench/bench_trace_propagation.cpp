@@ -39,7 +39,7 @@
 #include "bench_common.h"
 #include "cluster/coordinator.h"
 #include "cluster/worker.h"
-#include "obs/concurrent_trace.h"
+#include "obs/trace.h"
 #include "service/batch.h"
 
 namespace {
@@ -93,8 +93,8 @@ struct Measured {
 /// tenants). The armed coordinators' span storage is drained between
 /// rounds so they never measure their own growth.
 Measured measure(cluster::Coordinator& unarmed, cluster::Coordinator& armed,
-                 cluster::Coordinator& fullRate, obs::ConcurrentTracer& at,
-                 obs::ConcurrentTracer& ft, int reps) {
+                 cluster::Coordinator& fullRate, obs::Tracer& at,
+                 obs::Tracer& ft, int reps) {
     std::vector<double> u, a, f;
     for (int i = 0; i < reps; ++i) {
         u.push_back(roundSec(unarmed));
@@ -131,13 +131,13 @@ int main() {
     uc.cacheCapacity = 1;  // force every request onto the wire
     cluster::Coordinator unarmed(uc);
 
-    obs::ConcurrentTracer armedTracer;
+    obs::Tracer armedTracer;
     cluster::CoordinatorConfig ac;
     ac.tracer = &armedTracer;  // traceSampleEvery stays at the default
     ac.cacheCapacity = 1;
     cluster::Coordinator armed(ac);
 
-    obs::ConcurrentTracer fullTracer;
+    obs::Tracer fullTracer;
     cluster::CoordinatorConfig fc;
     fc.tracer = &fullTracer;
     fc.traceSampleEvery = 1;  // every request: the full-fidelity price

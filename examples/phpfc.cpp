@@ -102,7 +102,6 @@
 #include "ir/printer.h"
 #include "obs/calibration.h"
 #include "obs/chrome_trace.h"
-#include "obs/concurrent_trace.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -223,8 +222,6 @@ int runBatchMode(const std::string& jobsFile, int workers,
     cfg.workers = workers;
     if (cacheCapacity > 0) cfg.cacheCapacity = cacheCapacity;
     if (retries >= 0) cfg.maxRetries = retries;
-    obs::ConcurrentTracer ctracer;
-    cfg.tracer = &ctracer;
     service::CompileService svc(cfg);
 
     service::MetricsHttpServer server(servePort);
@@ -315,10 +312,10 @@ int runCoordinatorMode(const std::string& jobsFile,
     // The distributed trace timeline: workers ship their spans back on
     // the wire and the stitcher lays them out as extra process rows, so
     // one --trace file shows the whole farm.
-    obs::ConcurrentTracer ctracer(!traceFile.empty());
+    obs::Tracer tracer(!traceFile.empty());
     cluster::CoordinatorConfig cc;
     if (clusterCache > 0) cc.cacheCapacity = clusterCache;
-    if (!traceFile.empty()) cc.tracer = &ctracer;
+    if (!traceFile.empty()) cc.tracer = &tracer;
     if (traceSample > 0) cc.traceSampleEvery = traceSample;
     cluster::Coordinator coord(cc);
     for (const std::string& ep : joins)
@@ -359,7 +356,7 @@ int runCoordinatorMode(const std::string& jobsFile,
         // export one Perfetto-openable file with a process row per
         // worker.
         const cluster::StitchStats st = coord.stitchTrace();
-        if (!obs::writeChromeTrace(ctracer, traceFile, "phpfc cluster")) {
+        if (!obs::writeChromeTrace(tracer, traceFile, "phpfc cluster")) {
             std::fprintf(stderr, "phpfc: cannot write %s\n",
                          traceFile.c_str());
         } else {
@@ -542,12 +539,9 @@ int main(int argc, char** argv) {
         buf << in.rdbuf();
     }
 
-    // One tracer covers the whole run so the front end's span lands on
-    // the same timeline as the compiler passes and the simulation. The
-    // concurrent tracer is the export timeline: pool workers record
-    // into it from their own threads, and the session tracer's spans
-    // are merged in before the Chrome trace is written.
-    obs::ConcurrentTracer ctracer;
+    // One tracer covers the whole run: the front end, the compiler
+    // passes, the simulation and its pool workers (recorded from their
+    // own threads) share one timeline, for the report and the trace.
     obs::MetricRegistry runMetrics;
     auto tracer = std::make_shared<obs::Tracer>();
     DiagEngine diags;
@@ -614,7 +608,6 @@ int main(int argc, char** argv) {
         sreq.checkpointEvery = checkpointEvery;
         if (retries > 0) sreq.maxAttempts = retries;
         sreq.metrics = &runMetrics;
-        sreq.ctracer = &ctracer;
         sreq.profile = profile || !foldedFile.empty();
         try {
             sim = c.simulate(sreq);
@@ -661,10 +654,7 @@ int main(int argc, char** argv) {
         std::printf("run report written to %s\n", reportFile.c_str());
     }
     if (!traceFile.empty()) {
-        // Merge the session's per-pass spans onto the concurrent
-        // timeline, then export with real per-thread rows.
-        ctracer.importTracer(*tracer, {}, ctracer.nowNs() - tracer->nowNs());
-        if (!obs::writeChromeTrace(ctracer, traceFile, "phpfc " + p.name)) {
+        if (!obs::writeChromeTrace(*tracer, traceFile, "phpfc " + p.name)) {
             std::fprintf(stderr, "phpfc: cannot write %s\n", traceFile.c_str());
             return 1;
         }

@@ -4,13 +4,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <ostream>
-#include <set>
 #include <thread>
 #include <vector>
+
+#include "service/batch_journal.h"
 
 namespace phpf::cluster {
 
@@ -19,32 +19,6 @@ using service::CompileStatus;
 using service::ErrorCode;
 
 namespace {
-
-struct Emitter {
-    std::mutex mu;
-    std::set<std::string> done;
-    std::ostream* out = nullptr;
-    std::ofstream journal;
-    int duplicates = 0;
-
-    /// THE single completion point: a row leaves here once or never.
-    /// Journal flush precedes stdout so a crash right after still
-    /// leaves the row durable for --resume.
-    void emit(const std::string& name, const obs::Json& row) {
-        std::lock_guard<std::mutex> lk(mu);
-        if (!done.insert(name).second) {
-            ++duplicates;  // suppressed, and the batch loses its proof
-            return;
-        }
-        std::string line = row.dump(-1);
-        if (journal.is_open()) {
-            journal << line << "\n";
-            journal.flush();
-        }
-        (*out) << line << "\n";
-        out->flush();
-    }
-};
 
 obs::Json rowOf(const BatchJob& job, const ClusterOutcome& o, int requeues) {
     obs::Json row = obs::Json::object();
@@ -78,24 +52,9 @@ ClusterBatchOutcome runClusterBatch(Coordinator& coord,
     ClusterBatchOutcome outcome;
     outcome.jobs = static_cast<int>(spec.jobs.size());
 
-    Emitter emitter;
-    emitter.out = &out;
-
     // Resume: names already journaled by a previous run are done —
     // their jobs are never scheduled, so nothing can run twice.
-    if (opts.resume && !opts.journalPath.empty()) {
-        std::ifstream in(opts.journalPath);
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.empty()) continue;
-            obs::Json row = obs::Json::parse(line);
-            if (!row.isObject() || row.find("summary") != nullptr) continue;
-            if (const obs::Json* v = row.find("job"))
-                if (v->isString()) emitter.done.insert(v->stringValue());
-        }
-    }
-    if (!opts.journalPath.empty())
-        emitter.journal.open(opts.journalPath, std::ios::app);
+    service::BatchJournal journal(out, opts.journalPath, opts.resume);
 
     // Affinity queues: one per alive worker, each job on its ring
     // owner's queue. Queue fronts are the owner's warm path; thieves
@@ -113,7 +72,7 @@ ClusterBatchOutcome runClusterBatch(Coordinator& coord,
     std::mutex statsMu;  // guards the tallies below until threads join
     auto finish = [&](int index, const ClusterOutcome& o) {
         const BatchJob& job = spec.jobs[static_cast<std::size_t>(index)];
-        emitter.emit(job.name, rowOf(job, o, requeueCount[index]));
+        journal.emit(job.name, rowOf(job, o, requeueCount[index]));
         std::lock_guard<std::mutex> lk(statsMu);
         if (o.ok()) {
             ++outcome.ok;
@@ -130,7 +89,7 @@ ClusterBatchOutcome runClusterBatch(Coordinator& coord,
     {
         std::lock_guard<std::mutex> lk(qmu);
         for (std::size_t i = 0; i < spec.jobs.size(); ++i) {
-            if (emitter.done.count(spec.jobs[i].name) != 0) {
+            if (journal.done(spec.jobs[i].name)) {
                 ++outcome.skipped;
                 continue;
             }
@@ -245,7 +204,7 @@ ClusterBatchOutcome runClusterBatch(Coordinator& coord,
             }
     }
 
-    outcome.exactlyOnce = emitter.duplicates == 0;
+    outcome.exactlyOnce = journal.duplicates() == 0;
     outcome.wallSec =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

@@ -203,8 +203,8 @@ ClusterOutcome Coordinator::compileJob(const service::BatchJob& job,
     const auto t0 = std::chrono::steady_clock::now();
     ReqCtx rc;
     rc.rkey = routingKey(job);
-    obs::ConcurrentTracer::Handle reqSpan{};
-    obs::ConcurrentTracer* tracer = cfg_.tracer;
+    obs::Tracer::Handle reqSpan{};
+    obs::Tracer* tracer = cfg_.tracer;
     if (tracer != nullptr && tracer->enabled() && cfg_.traceSampleEvery > 0) {
         const std::uint64_t n =
             sampleCounter_.fetch_add(1, std::memory_order_relaxed);
@@ -286,7 +286,7 @@ ClusterOutcome Coordinator::compileTiers(const service::BatchJob& job,
             if (parseEndpoint(hint.worker, &host, &port)) {
                 // Network span around the fetch; the context rides as a
                 // query parameter (GETs have no body).
-                obs::ConcurrentTracer::Handle net{};
+                obs::Tracer::Handle net{};
                 std::string path = "/artifact/" + hint.artifactKey;
                 if (rc.sampled) {
                     const std::string netName = "fetch:" + hint.worker;
@@ -393,7 +393,7 @@ ClusterOutcome Coordinator::computeTier(const service::BatchJob& job,
         // under its own span. The context is spliced into the
         // already-encoded body — re-encoding the job per attempt costs
         // more than the whole rest of the traced request handling.
-        obs::ConcurrentTracer::Handle net{};
+        obs::Tracer::Handle net{};
         std::string tracedBody;
         const std::string* sendBody = &body;
         if (rc.sampled) {

@@ -11,9 +11,9 @@
 #include "cluster/hash_ring.h"
 #include "cluster/trace_stitch.h"
 #include "cluster/wire.h"
-#include "obs/concurrent_trace.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/batch.h"
 #include "support/fault.h"
 
@@ -44,7 +44,7 @@ struct CoordinatorConfig {
     /// open a coordinator span, stamp a TraceContext onto every wire
     /// exchange, and collect the workers' span batches for stitching
     /// (stitchTrace() at export time).
-    obs::ConcurrentTracer* tracer = nullptr;
+    obs::Tracer* tracer = nullptr;
     /// Sample every Nth request (1 = all, 0 = none). Unsampled requests
     /// carry no context and pay no tracing cost beyond one counter.
     /// The default of 8 keeps the armed tracer inside the repo's 2%

@@ -43,7 +43,7 @@ std::size_t SpanStitcher::spanCount() const {
     return total_;
 }
 
-StitchStats SpanStitcher::stitchInto(obs::ConcurrentTracer& tracer) {
+StitchStats SpanStitcher::stitchInto(obs::Tracer& tracer) {
     std::lock_guard<std::mutex> lock(mu_);
     StitchStats st;
     st.dropped = dropped_;
@@ -64,7 +64,7 @@ StitchStats SpanStitcher::stitchInto(obs::ConcurrentTracer& tracer) {
         std::int64_t lostStart = 0, lostEnd = 0;
 
         for (WireSpan& s : w.spans) {
-            obs::ConcurrentSpan cs;
+            obs::TraceSpan cs;
             cs.name = std::move(s.name);
             cs.category = std::move(s.category);
             cs.startNs = s.startNs + w.offsetNs;
@@ -103,7 +103,7 @@ StitchStats SpanStitcher::stitchInto(obs::ConcurrentTracer& tracer) {
         }
 
         if (lostId != 0) {
-            obs::ConcurrentSpan lost;
+            obs::TraceSpan lost;
             lost.name = "lost:" + w.displayName;
             lost.category = "cluster";
             lost.startNs = lostStart;

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "cluster/wire.h"
-#include "obs/concurrent_trace.h"
+#include "obs/trace.h"
 
 namespace phpf::cluster {
 
@@ -34,7 +34,7 @@ struct StitchStats {
 };
 
 /// Accumulates span batches returned by workers during a coordinated
-/// run, then merges them all into the coordinator's ConcurrentTracer at
+/// run, then merges them all into the coordinator's Tracer at
 /// export time. Deferring resolution to the end is what makes the
 /// stitcher indifferent to batch arrival order: a batch may reference a
 /// parent span that arrives in a later response (concurrent requests
@@ -71,7 +71,7 @@ public:
     /// span ids via allocateSpanId, registering one process row per
     /// worker, rebasing timestamps by the per-worker offset). Call once
     /// at export time; the accumulated batches are consumed.
-    StitchStats stitchInto(obs::ConcurrentTracer& tracer);
+    StitchStats stitchInto(obs::Tracer& tracer);
 
     [[nodiscard]] std::size_t spanCount() const;
 

@@ -133,7 +133,7 @@ HttpReply Worker::handle(const HttpRequest& req) {
         }
         const bool traced = tctx.valid() && tctx.sampled;
         std::int64_t recvNs = 0;
-        obs::ConcurrentTracer::Handle span{};
+        obs::Tracer::Handle span{};
         if (traced) {
             // Sticky arming: the first sampled request turns the tracer
             // on for the rest of the worker's life; untraced workers
@@ -167,7 +167,7 @@ HttpReply Worker::handle(const HttpRequest& req) {
         }
         const bool traced = tctx.valid() && tctx.sampled;
         std::int64_t recvNs = 0;
-        obs::ConcurrentTracer::Handle span{};
+        obs::Tracer::Handle span{};
         if (traced) {
             if (!tracer_.enabled()) tracer_.setEnabled(true);
             recvNs = tracer_.nowNs();
@@ -227,11 +227,11 @@ WireTrace Worker::harvestTrace(std::int64_t recvNs) {
     // requests whose own response already shipped. The coordinator
     // stitches per worker, not per request, so every closed span gets
     // home eventually; which response carries it does not matter.
-    std::vector<obs::ConcurrentSpan> spans =
+    std::vector<obs::TraceSpan> spans =
         tracer_.drainClosed(cfg_.maxSpanBatch);
     t.spans.reserve(spans.size());
     std::lock_guard<std::mutex> lock(traceMu_);
-    for (obs::ConcurrentSpan& s : spans) {
+    for (obs::TraceSpan& s : spans) {
         WireSpan w;
         w.name = std::move(s.name);
         w.category = std::move(s.category);

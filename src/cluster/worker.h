@@ -8,8 +8,8 @@
 #include <unordered_map>
 
 #include "cluster/wire.h"
-#include "obs/concurrent_trace.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/compile_service.h"
 #include "service/http_exposition.h"
 #include "support/fault.h"
@@ -96,7 +96,7 @@ public:
     }
     /// The worker's request tracer (disabled until the first sampled
     /// request arrives; sticky after that).
-    [[nodiscard]] obs::ConcurrentTracer& tracer() { return tracer_; }
+    [[nodiscard]] obs::Tracer& tracer() { return tracer_; }
 
 private:
     [[nodiscard]] service::HttpReply handle(const service::HttpRequest& req);
@@ -114,7 +114,7 @@ private:
     /// Spans recorded while handling traced requests. Starts disabled
     /// (untraced requests pay one branch); the first sampled request
     /// arms it for the rest of the worker's life.
-    obs::ConcurrentTracer tracer_{false};
+    obs::Tracer tracer_{false};
     /// Local root span id -> coordinator parent span id, bridged into
     /// the span batch at harvest. Bounded: entries are erased when
     /// their span ships; a runaway map (tracing stopped mid-flight) is

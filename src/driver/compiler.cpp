@@ -26,29 +26,16 @@ std::unique_ptr<SpmdSimulator> Compilation::simulate(
                                                std::move(recovery),
                                                SimEngine::Bytecode, relaxed,
                                                target_.targetKind);
-    sim->setTelemetry(req.metrics, req.ctracer);
+    sim->setTelemetry(req.metrics, tr);
     if (req.profile) sim->enableProfiling();
     if (req.seed) req.seed(sim->oracle());
-    // Capture the execution span's real endpoints on the tracer's own
-    // clock: reconstructing the start from wallSec once drifted (and
-    // could go negative) under clock rounding.
-    const std::int64_t startNs = tr != nullptr ? tr->nowNs() : 0;
-    {
-        // The simulator's per-worker spans parent under the calling
-        // thread's concurrent-tracer context; open a sim-exec span
-        // there so the worker rows nest under the execution, not under
-        // the request. RAII: closes even when run() throws a SimFault.
-        const std::string cname =
-            "sim-exec[" + std::to_string(sim->threads()) + "t]";
-        obs::ConcurrentScopedSpan cspan(req.ctracer, cname.c_str(), "sim");
-        sim->run();
-    }
-    if (tr != nullptr) {
-        const std::string name =
-            "sim-exec[" + std::to_string(sim->threads()) + "t]";
-        tr->addCompleteSpan(name.c_str(), "sim", startNs,
-                            tr->nowNs() - startNs, 1);
-    }
+    // The simulator's per-worker spans parent under the calling
+    // thread's context, so they nest under this sim-exec span. RAII:
+    // closes even when run() throws a SimFault.
+    const std::string execName =
+        "sim-exec[" + std::to_string(sim->threads()) + "t]";
+    obs::ScopedSpan exec(tr, execName.c_str(), "sim");
+    sim->run();
     return sim;
 }
 
@@ -76,24 +63,20 @@ CompilePipeline::CompilePipeline(Program& p, TargetConfig target,
     c_.passes_ = passes;
     c_.tracer_ = session_.tracer != nullptr ? session_.tracer
                                             : std::make_shared<obs::Tracer>();
-    compileSpan_ = c_.tracer_->beginSpan("compile", "pass");
+    compileSpan_ = c_.tracer_->begin("compile", "pass");
 }
 
 CompilePipeline::~CompilePipeline() {
     // An abandoned (or cancelled) pipeline must not leave the whole-run
     // span dangling open on a shared tracer.
-    if (c_.tracer_ != nullptr && compileSpan_ >= 0)
-        c_.tracer_->endSpan(compileSpan_);
+    if (c_.tracer_ != nullptr) c_.tracer_->end(compileSpan_);
 }
 
 bool CompilePipeline::step() {
     if (next_ == CompileStage::Done || cancelled_) return false;
     if (session_.cancel.cancelled()) {
         cancelled_ = true;
-        if (c_.tracer_ != nullptr && compileSpan_ >= 0) {
-            c_.tracer_->endSpan(compileSpan_);
-            compileSpan_ = -1;
-        }
+        c_.tracer_->end(compileSpan_);
         return false;
     }
 
@@ -170,10 +153,7 @@ bool CompilePipeline::step() {
 
     if (next_ == CompileStage::Done) {
         span.close();
-        if (tr != nullptr && compileSpan_ >= 0) {
-            tr->endSpan(compileSpan_);
-            compileSpan_ = -1;
-        }
+        tr->end(compileSpan_);
         // Freeze the run's diagnostics into the artifact so cached
         // compilations never dangle on a dead DiagEngine.
         if (session_.diags != nullptr) c_.diagnostics_ = session_.diags->all();

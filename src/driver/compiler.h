@@ -34,11 +34,10 @@ struct SimulationRequest {
     /// Seeds the simulator's sequential oracle before the run (input
     /// arrays default to zero otherwise).
     std::function<void(Interpreter&)> seed = {};
-    /// Span destination for the sim-exec span. When null, spans go to
-    /// the compilation's own tracer — fine for a privately owned
-    /// Compilation, but a Compilation shared read-only across threads
-    /// (compile-service cache) needs a per-request tracer here to keep
-    /// simulate() race-free.
+    /// Span destination for the simulate and sim-exec spans and the
+    /// per-worker sim-worker rows under them. When null, spans go to
+    /// the compilation's own tracer; pass a per-request tracer to keep
+    /// a shared (cached) Compilation's timeline to its own compile.
     obs::Tracer* tracer = nullptr;
     /// Fault source for the simulator's recovery layer (lossy-network
     /// transport, proc-crash restarts). Null disables injection; the
@@ -59,12 +58,9 @@ struct SimulationRequest {
     /// tagged "sim.cancel" (the compile service maps it to
     /// DeadlineExceeded / Cancelled).
     CancelToken cancel = {};
-    /// Telemetry opt-ins forwarded to SpmdSimulator::setTelemetry():
-    /// per-phase latency histograms into `metrics`, and per-worker
-    /// tid-stamped spans into `ctracer` (the sim-exec span is then also
-    /// mirrored there so worker rows parent under it). Both nullable.
+    /// Per-phase latency histograms (SpmdSimulator::setTelemetry());
+    /// nullable.
     obs::MetricRegistry* metrics = nullptr;
-    obs::ConcurrentTracer* ctracer = nullptr;
     /// Arm the per-statement profiler (SpmdSimulator::enableProfiling):
     /// the returned simulator carries a StmtProfile, buildRunReport()
     /// adds the schema-v3 "profile" and "calibration" sections, and the
@@ -232,7 +228,8 @@ private:
     Compilation c_;
     CompileStage next_ = CompileStage::Finalize;
     bool cancelled_ = false;
-    int compileSpan_ = -1;  ///< the whole-run "compile" span, open until Done
+    /// The whole-run "compile" span, open until Done.
+    obs::Tracer::Handle compileSpan_;
 };
 
 /// The phpf-style compiler driver: program analysis (CFG, SSA, constant

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <unordered_map>
 
 #include "driver/compiler.h"
 #include "ir/printer.h"
@@ -52,15 +53,24 @@ obs::Json optionsJson(const TargetConfig& t, const PassOptions& po) {
 }
 
 obs::Json passesJson(const obs::Tracer& tracer) {
+    const std::vector<obs::TraceSpan> spans = tracer.snapshot();
+    std::unordered_map<std::uint64_t, std::uint64_t> parentOf;
+    for (const obs::TraceSpan& s : spans) parentOf[s.id] = s.parent;
     obs::Json arr = obs::Json::array();
-    for (const obs::TraceSpan& s : tracer.spans()) {
+    for (const obs::TraceSpan& s : spans) {
         if (s.category != "pass" && s.category != "sim") continue;
+        // Depth = ancestors recorded on this tracer (a parent outside
+        // it, e.g. a service request span, ends the walk).
+        int depth = 0;
+        for (auto it = parentOf.find(s.parent); it != parentOf.end();
+             it = parentOf.find(it->second))
+            ++depth;
         obs::Json j = obs::Json::object();
         j.set("name", s.name);
         j.set("start_us", static_cast<double>(s.startNs) / 1000.0);
         j.set("wall_us",
               static_cast<double>(s.closed() ? s.durNs : 0) / 1000.0);
-        j.set("depth", s.depth);
+        j.set("depth", depth);
         arr.push(std::move(j));
     }
     return arr;

@@ -159,9 +159,9 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
 }
 
 void SpmdSimulator::setTelemetry(obs::MetricRegistry* metrics,
-                                 obs::ConcurrentTracer* tracer) {
+                                 obs::Tracer* tracer) {
     metrics_ = metrics;
-    ctracer_ = tracer;
+    tracer_ = tracer;
     evalHist_ =
         metrics != nullptr ? &metrics->histogram("sim.phase.eval_us") : nullptr;
     mergeHist_ = metrics != nullptr ? &metrics->histogram("sim.phase.merge_us")
@@ -1287,23 +1287,25 @@ void SpmdSimulator::run() {
     // in one final pool kick, so the Chrome trace gets a named
     // "sim-worker-N" row per thread without per-phase span overhead.
     // Worker 0 is the caller; its time is the sim-exec span itself.
-    if (ctracer_ != nullptr && ctracer_->enabled() && pool_ != nullptr) {
+    // Category "worker", not "sim": the rows say where threads ran, they
+    // are not pipeline stages, so the run report's pass list skips them.
+    if (tracer_ != nullptr && tracer_->enabled() && pool_ != nullptr) {
         struct SpanCtx {
-            obs::ConcurrentTracer* tracer;
+            obs::Tracer* tracer;
             obs::SpanContext parent;
             std::int64_t startNs;
             std::int64_t durNs;
         };
         const std::int64_t durNs = static_cast<std::int64_t>(wallSec_ * 1e9);
-        SpanCtx sc{ctracer_, ctracer_->currentContext(),
-                   ctracer_->nowNs() - durNs, durNs};
+        SpanCtx sc{tracer_, tracer_->currentContext(),
+                   tracer_->nowNs() - durNs, durNs};
         pool_->run(
             [](void* ctx, int worker) {
                 if (worker == 0) return;
                 const auto* c = static_cast<const SpanCtx*>(ctx);
                 const std::string name =
                     "sim-worker-" + std::to_string(worker);
-                c->tracer->addCompleteSpan(name.c_str(), "sim", c->startNs,
+                c->tracer->addCompleteSpan(name.c_str(), "worker", c->startNs,
                                            c->durNs, c->parent);
             },
             &sc);

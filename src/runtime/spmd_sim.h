@@ -4,9 +4,9 @@
 #include <exception>
 #include <memory>
 
-#include "obs/concurrent_trace.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/trace.h"
 #include "runtime/bytecode.h"
 #include "runtime/engine.h"
 #include "runtime/interp.h"
@@ -137,7 +137,7 @@ public:
     /// per-thread sim-worker rows. Null pointers (the default) keep the
     /// existing zero-overhead behaviour.
     void setTelemetry(obs::MetricRegistry* metrics,
-                      obs::ConcurrentTracer* tracer);
+                      obs::Tracer* tracer);
 
     /// Opt into the per-statement profiler before run(). Counts
     /// (instances, per-proc executions, transfers, events) are exact
@@ -597,7 +597,7 @@ private:
     std::uint32_t evalTick_ = 0;
     std::uint32_t mergeTick_ = 0;
     obs::MetricRegistry* metrics_ = nullptr;
-    obs::ConcurrentTracer* ctracer_ = nullptr;
+    obs::Tracer* tracer_ = nullptr;
     obs::Histogram* evalHist_ = nullptr;    ///< sim.phase.eval_us
     obs::Histogram* mergeHist_ = nullptr;   ///< sim.phase.merge_us
     obs::Histogram* ckptHist_ = nullptr;    ///< sim.checkpoint_us

@@ -9,6 +9,7 @@
 
 #include "obs/flight_recorder.h"
 #include "programs/programs.h"
+#include "service/batch_journal.h"
 
 namespace phpf::service {
 
@@ -273,6 +274,14 @@ bool parseBatchSpec(const obs::Json& doc, BatchSpec* out, std::string* err) {
         *err = "jobs file contains no jobs";
         return false;
     }
+    // The journal and --resume key rows by job name.
+    std::set<std::string> names;
+    for (const BatchJob& job : out->jobs) {
+        if (!names.insert(job.name).second) {
+            *err = "duplicate job name '" + job.name + "'";
+            return false;
+        }
+    }
     return true;
 }
 
@@ -326,34 +335,17 @@ BatchOutcome runBatch(CompileService& svc, const BatchSpec& spec,
     BatchOutcome outcome;
     outcome.jobs = static_cast<int>(spec.jobs.size());
 
-    // Resume: collect the names already journaled by a previous
-    // (possibly killed) run. A torn final line — the crash happened
-    // mid-write — fails to parse and is simply not counted as done.
-    std::set<std::string> done;
     // Per-job model-error MAPE for the summary's calibration section:
     // filled from live profiled rows and — on resume — from journaled
     // rows, so skipped jobs keep their profile data in the summary.
     std::map<std::string, double> mapeByJob;
-    if (opts.resume && !opts.journalPath.empty()) {
-        std::ifstream in(opts.journalPath);
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.empty()) continue;
-            std::string perr;
-            const obs::Json row = obs::Json::parse(line, &perr);
-            if (!perr.empty() || !row.isObject()) continue;
-            if (row.find("summary") != nullptr) continue;
-            if (const obs::Json* v = row.find("job")) {
-                done.insert(v->stringValue());
-                if (const obs::Json* cal = row.find("calibration"))
-                    if (const obs::Json* m = cal->find("mape_sec_pct"))
-                        mapeByJob[v->stringValue()] = m->numberValue();
-            }
-        }
-    }
-    std::ofstream journal;
-    if (!opts.journalPath.empty())
-        journal.open(opts.journalPath, std::ios::app);
+    BatchJournal journal(
+        out, opts.journalPath, opts.resume,
+        [&](const std::string& job, const obs::Json& row) {
+            if (const obs::Json* cal = row.find("calibration"))
+                if (const obs::Json* m = cal->find("mape_sec_pct"))
+                    mapeByJob[job] = m->numberValue();
+        });
 
     const FaultInjector* finj = opts.faults != nullptr
                                     ? opts.faults
@@ -372,7 +364,7 @@ BatchOutcome runBatch(CompileService& svc, const BatchSpec& spec,
     for (const BatchJob& job : spec.jobs) {
         Pending p;
         p.job = &job;
-        if (done.count(job.name) != 0) {
+        if (journal.done(job.name)) {
             p.skipped = true;
             ++outcome.skipped;
         } else {
@@ -386,16 +378,6 @@ BatchOutcome runBatch(CompileService& svc, const BatchSpec& spec,
         pending.push_back(std::move(p));
     }
 
-    const auto emit = [&](const obs::Json& row) {
-        out << row.dump(-1) << "\n";
-        if (journal.is_open()) {
-            // Append + flush per row: everything this run completed
-            // survives a kill at any point.
-            journal << row.dump(-1) << "\n";
-            journal.flush();
-        }
-    };
-
     for (const Pending& p : pending) {
         if (p.skipped) continue;
         obs::Json row = obs::Json::object();
@@ -408,7 +390,7 @@ BatchOutcome runBatch(CompileService& svc, const BatchSpec& spec,
             row.set("code", errorCodeName(ErrorCode::EmptyRequest));
             row.set("error", p.error);
             ++outcome.failed;
-            emit(row);
+            journal.emit(p.job->name, row);
             continue;
         }
         const CompileResult r = p.fut.get();
@@ -460,7 +442,7 @@ BatchOutcome runBatch(CompileService& svc, const BatchSpec& spec,
                 obs::FlightRecorder::global().dumpJsonl(
                     opts.flightRecorderPath);
         }
-        emit(row);
+        journal.emit(p.job->name, row);
         // Simulated kill of the batch runner: stop right after a row
         // hit the journal — no summary, later jobs never awaited. The
         // deterministic stand-in for SIGKILL that the resume tests and

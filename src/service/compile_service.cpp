@@ -98,7 +98,7 @@ CompileResult CompileService::compileAt(const CompileRequest& req,
                                         Clock::time_point submitted) {
     const std::string spanName =
         "request:" + (req.name.empty() ? std::string("?") : req.name);
-    obs::ConcurrentScopedSpan reqSpan(cfg_.tracer, spanName.c_str(), "service");
+    obs::ScopedSpan reqSpan(cfg_.tracer, spanName.c_str(), "service");
     CompileResult r;
     const auto finish = [&](CompileResult res) {
         res.totalUs = usSince(submitted);
@@ -247,22 +247,19 @@ CompileResult CompileService::runJob(const CompileRequest& req,
     session.diags = &diags;
     session.cancel = cancel.token();
     const std::shared_ptr<obs::Tracer> sessionTracer = session.tracer;
-    // Merge the single-threaded session tracer's per-pass spans into
-    // the service tracer under this job's context, shifting the
-    // session's private timeline onto the service's.
-    const auto importSession = [&] {
-        if (cfg_.tracer == nullptr || sessionTracer == nullptr) return;
-        const std::int64_t offset =
-            cfg_.tracer->nowNs() - sessionTracer->nowNs();
-        cfg_.tracer->importTracer(*sessionTracer,
-                                  cfg_.tracer->currentContext(), offset);
+    // The session tracer keeps this compile's spans apart (the cached
+    // run report holds only them); copy them into the service tracer,
+    // roots under this job's request span.
+    const auto appendSession = [&] {
+        if (cfg_.tracer == nullptr) return;
+        cfg_.tracer->append(*sessionTracer, cfg_.tracer->currentContext());
     };
 
     try {
         CompilePipeline pipe(*prog, req.target, req.passes,
                              std::move(session));
         if (!pipe.run()) {
-            importSession();
+            appendSession();
             r.status = CompileStatus::DeadlineExceeded;
             r.code = ErrorCode::DeadlineExceeded;
             r.error = "deadline of " + std::to_string(req.deadlineMs) +
@@ -303,10 +300,9 @@ CompileResult CompileService::runJob(const CompileRequest& req,
         owned->adoptProgram(std::move(prog));
         artifact->compilation = std::move(owned);
 
-        importSession();
+        appendSession();
         // Per-stage latency histograms from the pipeline's own spans.
-        for (const obs::TraceSpan& s :
-             artifact->compilation->tracer()->spans()) {
+        for (const obs::TraceSpan& s : sessionTracer->snapshot()) {
             if (s.category != "pass" || !s.closed() || s.name == "compile")
                 continue;
             registry_.histogram("service.stage." + s.name + "_us")

@@ -10,8 +10,8 @@
 #include <unordered_map>
 
 #include "driver/compiler.h"
-#include "obs/concurrent_trace.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/artifact_cache.h"
 #include "service/error_code.h"
 #include "support/fault.h"
@@ -115,8 +115,8 @@ struct ServiceConfig {
     /// root span ("request:<name>"), worker-side spans adopt the
     /// submitting thread's context (so async jobs parent under their
     /// request instead of floating), and each compiled job's per-pass
-    /// session spans are imported beneath it. Must outlive the service.
-    obs::ConcurrentTracer* tracer = nullptr;
+    /// session spans are appended beneath it. Must outlive the service.
+    obs::Tracer* tracer = nullptr;
 };
 
 struct ServiceStats {

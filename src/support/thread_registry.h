@@ -8,7 +8,7 @@
 namespace phpf {
 
 /// Process-wide registry of the threads that participate in telemetry:
-/// every thread that touches a ConcurrentTracer or the flight recorder
+/// every thread that touches an obs::Tracer or the flight recorder
 /// gets a small stable integer id (assigned on first use, in first-use
 /// order) and an optional human-readable name. Pool workers register
 /// names like "sim-worker-2" / "svc-worker-0"; the Chrome trace

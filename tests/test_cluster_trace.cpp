@@ -26,8 +26,8 @@
 #include "cluster/wire.h"
 #include "cluster/worker.h"
 #include "obs/chrome_trace.h"
-#include "obs/concurrent_trace.h"
 #include "obs/json.h"
+#include "obs/trace.h"
 #include "service/batch.h"
 #include "support/fault.h"
 
@@ -43,8 +43,8 @@ using cluster::TraceContext;
 using cluster::WireSpan;
 using cluster::Worker;
 using cluster::WorkerConfig;
-using obs::ConcurrentSpan;
-using obs::ConcurrentTracer;
+using obs::TraceSpan;
+using obs::Tracer;
 
 // ---------------------------------------------------------------------
 // Trace context wire form.
@@ -135,14 +135,14 @@ WireSpan span(std::uint64_t id, std::uint64_t parent, std::int64_t startNs,
     return s;
 }
 
-std::map<std::uint64_t, ConcurrentSpan> byId(const ConcurrentTracer& t) {
-    std::map<std::uint64_t, ConcurrentSpan> out;
-    for (const ConcurrentSpan& s : t.snapshot()) out[s.id] = s;
+std::map<std::uint64_t, TraceSpan> byId(const Tracer& t) {
+    std::map<std::uint64_t, TraceSpan> out;
+    for (const TraceSpan& s : t.snapshot()) out[s.id] = s;
     return out;
 }
 
 TEST(SpanStitch, RenumbersRebasesAndRegistersProcessRows) {
-    ConcurrentTracer tracer;
+    Tracer tracer;
     // Burn local ids so remote ids landing in our space are visibly
     // renumbered, not coincidentally equal.
     for (int i = 0; i < 10; ++i) (void)tracer.allocateSpanId();
@@ -180,7 +180,7 @@ TEST(SpanStitch, RenumbersRebasesAndRegistersProcessRows) {
 TEST(SpanStitch, OutOfOrderBatchArrivalStillResolvesParents) {
     // The CHILD's batch arrives first (concurrent requests drain in
     // completion order), referencing a parent shipped in a later batch.
-    ConcurrentTracer tracer;
+    Tracer tracer;
     SpanStitcher st;
     st.addBatch("w1#1", "w1", 0, 100, {span(9, 5, 20, 3, "stage:lower")});
     st.addBatch("w1#1", "w1", 0, 100, {span(5, 0, 15, 10, "rpc:compile")});
@@ -199,7 +199,7 @@ TEST(SpanStitch, OutOfOrderBatchArrivalStillResolvesParents) {
 TEST(SpanStitch, SeparateEpochsGetSeparateIdSpacesAndRows) {
     // Same span ids from a restarted worker (new epoch) must not
     // cross-link with its previous life.
-    ConcurrentTracer tracer;
+    Tracer tracer;
     SpanStitcher st;
     st.addBatch("w1#1", "w1", 0, 100, {span(1, 0, 10, 5, "rpc:compile")});
     st.addBatch("w1#2", "w1 (restarted)", 0, 100,
@@ -213,7 +213,7 @@ TEST(SpanStitch, SeparateEpochsGetSeparateIdSpacesAndRows) {
 }
 
 TEST(SpanStitch, OrphansLandUnderASyntheticLostSpan) {
-    ConcurrentTracer tracer;
+    Tracer tracer;
     SpanStitcher st;
     st.addBatch("w7#1", "w7", 0, 100,
                 {span(30, 99, 50, 5, "stage:parse"),    // parent 99 lost
@@ -224,7 +224,7 @@ TEST(SpanStitch, OrphansLandUnderASyntheticLostSpan) {
 
     const auto spans = tracer.snapshot();
     ASSERT_EQ(spans.size(), 3u);  // 2 orphans + the synthetic parent
-    const ConcurrentSpan* lost = nullptr;
+    const TraceSpan* lost = nullptr;
     for (const auto& s : spans)
         if (s.name == "lost:w7") lost = &s;
     ASSERT_NE(lost, nullptr);
@@ -241,7 +241,7 @@ TEST(SpanStitch, OrphansLandUnderASyntheticLostSpan) {
 TEST(SpanStitch, CtxEdgeParentsUnderTheCoordinatorSpan) {
     // The one cross-process edge: a request-root span carries the
     // coordinator's span id in `ctx`, which passes through unmapped.
-    ConcurrentTracer tracer;
+    Tracer tracer;
     auto net = tracer.begin("post:w1", "cluster");
     tracer.end(net);
     const std::uint64_t coordSpanId = net.id;
@@ -265,7 +265,7 @@ TEST(SpanStitch, CtxEdgeParentsUnderTheCoordinatorSpan) {
 }
 
 TEST(SpanStitch, SpanCapDropsExcessAndCountsIt) {
-    ConcurrentTracer tracer;
+    Tracer tracer;
     SpanStitcher st(/*maxSpans=*/2);
     st.addBatch("w1#1", "w1", 0, 100,
                 {span(1, 0, 1, 1, "a"), span(2, 0, 2, 1, "b"),
@@ -276,7 +276,7 @@ TEST(SpanStitch, SpanCapDropsExcessAndCountsIt) {
 }
 
 TEST(SpanStitch, LowestUncertaintyOffsetWinsAcrossBatches) {
-    ConcurrentTracer tracer;
+    Tracer tracer;
     SpanStitcher st;
     // A noisy first exchange, then a tight one with a different offset:
     // the tight one's offset must rebase every span of the worker.
@@ -285,7 +285,7 @@ TEST(SpanStitch, LowestUncertaintyOffsetWinsAcrossBatches) {
     st.addBatch("w1#1", "w1", /*offsetNs=*/500, /*uncertainty=*/10,
                 {span(2, 0, 20, 1, "b")});
     (void)st.stitchInto(tracer);
-    for (const ConcurrentSpan& s : tracer.snapshot())
+    for (const TraceSpan& s : tracer.snapshot())
         EXPECT_LT(s.startNs, 1000) << s.name;  // all rebased by 500, not 999k
 }
 
@@ -316,7 +316,7 @@ std::unique_ptr<Worker> startWorker(const FaultInjector* faults = nullptr) {
 TEST(ClusterTrace, CompileCarriesTraceIdAndStitchesWorkerRows) {
     auto w1 = startWorker();
     auto w2 = startWorker();
-    ConcurrentTracer tracer;
+    Tracer tracer;
     CoordinatorConfig cc;
     cc.tracer = &tracer;
     cc.traceSampleEvery = 1;  // full rate: the test asserts per-request traces
@@ -374,7 +374,7 @@ TEST(ClusterTrace, CompileCarriesTraceIdAndStitchesWorkerRows) {
 
 TEST(ClusterTrace, SampleEveryNTracesOnlyTheNthRequests) {
     auto w = startWorker();
-    ConcurrentTracer tracer;
+    Tracer tracer;
     CoordinatorConfig cc;
     cc.tracer = &tracer;
     cc.traceSampleEvery = 2;
@@ -391,7 +391,7 @@ TEST(ClusterTrace, SampleEveryNTracesOnlyTheNthRequests) {
 TEST(ClusterTrace, TracedCompileIsBitIdenticalToUntraced) {
     auto w1 = startWorker();
     auto w2 = startWorker();
-    ConcurrentTracer tracer;
+    Tracer tracer;
     CoordinatorConfig traced;
     traced.tracer = &tracer;
     traced.traceSampleEvery = 1;  // full rate: the test asserts per-request traces
@@ -413,7 +413,7 @@ TEST(ClusterTrace, TracedCompileIsBitIdenticalToUntraced) {
 
 TEST(ClusterTrace, SlowRequestExemplarsKeepFullCausalChains) {
     auto w = startWorker();
-    ConcurrentTracer tracer;
+    Tracer tracer;
     CoordinatorConfig cc;
     cc.tracer = &tracer;
     cc.traceSampleEvery = 1;  // full rate: the test asserts per-request traces
@@ -448,7 +448,7 @@ TEST(ClusterTrace, WorkerDeathMidRunNeverBreaksTheExporter) {
         << ferr;
     auto victim = startWorker(&faults);
     auto w2 = startWorker();
-    ConcurrentTracer tracer;
+    Tracer tracer;
     CoordinatorConfig cc;
     cc.tracer = &tracer;
     cc.traceSampleEvery = 1;  // full rate: the test asserts per-request traces
@@ -481,7 +481,7 @@ TEST(ClusterTrace, WorkerDeathMidRunNeverBreaksTheExporter) {
 
 TEST(ClusterTrace, BatchRowsCarryTraceIdsAndSummaryHasSlowRequests) {
     auto w = startWorker();
-    ConcurrentTracer tracer;
+    Tracer tracer;
     CoordinatorConfig cc;
     cc.tracer = &tracer;
     cc.traceSampleEvery = 1;  // full rate: the test asserts per-request traces

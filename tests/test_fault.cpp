@@ -28,6 +28,7 @@
 #include "programs/programs.h"
 #include "runtime/reliable_transport.h"
 #include "service/batch.h"
+#include "service/batch_journal.h"
 #include "service/compile_service.h"
 #include "support/fault.h"
 
@@ -733,6 +734,93 @@ TEST(BatchResume, TornJournalTailLineIsIgnored) {
     EXPECT_EQ(o.ok, 3);
     EXPECT_EQ(o.failed, 0);
     std::remove(journal.c_str());
+}
+
+// ---------------------------------------------------------------------
+// The journal core both batch runners emit through.
+
+/// Stands in for stdout: counts the job rows written to it and how many
+/// of them the journal file already held at that moment.
+class JournalFirstBuf : public std::stringbuf {
+public:
+    explicit JournalFirstBuf(std::string journal)
+        : journal_(std::move(journal)) {}
+    int rows = 0;
+    int journaledFirst = 0;
+
+protected:
+    std::streamsize xsputn(const char* s, std::streamsize n) override {
+        const std::string text(s, static_cast<std::size_t>(n));
+        if (text.find("\"job\"") != std::string::npos) {
+            ++rows;
+            std::ifstream in(journal_);
+            std::stringstream held;
+            held << in.rdbuf();
+            if (held.str().find(text) != std::string::npos) ++journaledFirst;
+        }
+        return std::stringbuf::xsputn(s, n);
+    }
+
+private:
+    std::string journal_;
+};
+
+TEST(BatchJournal, EmitsEachJobOnceAndJournalsBeforeStdout) {
+    const std::string path = testing::TempDir() + "phpf_journal_core.jsonl";
+    std::remove(path.c_str());
+    JournalFirstBuf buf(path);
+    std::ostream out(&buf);
+    {
+        service::BatchJournal journal(out, path, /*resume=*/false);
+        obs::Json row = obs::Json::object();
+        row.set("job", "a");
+        EXPECT_FALSE(journal.done("a"));
+        EXPECT_TRUE(journal.emit("a", row));
+        EXPECT_TRUE(journal.done("a"));
+        EXPECT_FALSE(journal.emit("a", row));  // suppressed, counted
+        row.set("job", "b");
+        EXPECT_TRUE(journal.emit("b", row));
+        EXPECT_EQ(journal.duplicates(), 1);
+    }
+    EXPECT_EQ(buf.rows, 2);
+    EXPECT_EQ(buf.journaledFirst, 2);  // durable before it is printed
+    const auto counts = journalJobCounts(path);
+    EXPECT_EQ(counts.size(), 2u);
+    for (const auto& [name, n] : counts) EXPECT_EQ(n, 1) << name;
+    std::remove(path.c_str());
+}
+
+TEST(BatchJournal, ResumeLoadsOnlyWellFormedJobRows) {
+    const std::string path = testing::TempDir() + "phpf_journal_resume.jsonl";
+    std::remove(path.c_str());
+    {
+        std::ofstream j(path);
+        j << R"({"job":"done-1","calibration":{"mape_sec_pct":12.5}})" << "\n";
+        j << "\n";
+        j << R"({"job":7,"status":"ok"})" << "\n";         // not a name
+        j << R"({"summary":true,"job":"summary-row"})" << "\n";
+        j << R"({"job":"done-2","status":"ok"})" << "\n";
+        j << R"({"job":"torn","sta)";                   // killed mid-write
+    }
+    std::vector<std::string> seen;
+    std::ostringstream out;
+    service::BatchJournal journal(
+        out, path, /*resume=*/true,
+        [&](const std::string& job, const obs::Json& row) {
+            seen.push_back(job);
+            if (job == "done-1") {
+                EXPECT_DOUBLE_EQ(
+                    row.at("calibration").at("mape_sec_pct").numberValue(),
+                    12.5);
+            }
+        });
+    EXPECT_EQ(seen, (std::vector<std::string>{"done-1", "done-2"}));
+    EXPECT_TRUE(journal.done("done-1"));
+    EXPECT_TRUE(journal.done("done-2"));
+    EXPECT_FALSE(journal.done(""));
+    EXPECT_FALSE(journal.done("summary-row"));
+    EXPECT_FALSE(journal.done("torn"));
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -16,17 +16,18 @@ namespace {
 
 TEST(ObsTracer, SpansNestAndTimesAreMonotonic) {
     obs::Tracer t;
-    const int outer = t.beginSpan("outer", "pass");
-    const int inner = t.beginSpan("inner", "pass");
-    t.endSpan(inner);
-    t.endSpan(outer);
+    const auto outer = t.begin("outer", "pass");
+    const auto inner = t.begin("inner", "pass");
+    t.end(inner);
+    t.end(outer);
 
-    ASSERT_EQ(t.spans().size(), 2u);
-    const obs::TraceSpan& o = t.spans()[0];
-    const obs::TraceSpan& i = t.spans()[1];
+    const std::vector<obs::TraceSpan> spans = t.snapshot();
+    ASSERT_EQ(spans.size(), 2u);
+    const obs::TraceSpan& o = spans[0];
+    const obs::TraceSpan& i = spans[1];
     EXPECT_EQ(o.name, "outer");
-    EXPECT_EQ(o.depth, 0);
-    EXPECT_EQ(i.depth, 1);
+    EXPECT_EQ(o.parent, 0u);
+    EXPECT_EQ(i.parent, o.id);
     ASSERT_TRUE(o.closed());
     ASSERT_TRUE(i.closed());
     EXPECT_GE(o.durNs, 0);
@@ -40,31 +41,31 @@ TEST(ObsTracer, ScopedSpanClosesOnScopeExitAndIsIdempotent) {
     obs::Tracer t;
     {
         obs::ScopedSpan s(t, "scoped", "pass");
-        EXPECT_FALSE(t.spans()[0].closed());
+        EXPECT_FALSE(t.snapshot()[0].closed());
         s.close();
-        EXPECT_TRUE(t.spans()[0].closed());
-        const std::int64_t dur = t.spans()[0].durNs;
+        EXPECT_TRUE(t.snapshot()[0].closed());
+        const std::int64_t dur = t.snapshot()[0].durNs;
         s.close();  // second close must not re-measure
-        EXPECT_EQ(t.spans()[0].durNs, dur);
+        EXPECT_EQ(t.snapshot()[0].durNs, dur);
     }
-    ASSERT_EQ(t.spans().size(), 1u);
+    ASSERT_EQ(t.spanCount(), 1u);
 }
 
 TEST(ObsTracer, NullTracerIsSafe) {
     obs::ScopedSpan s(nullptr, "nothing");
+    EXPECT_EQ(s.context().spanId, 0u);
     s.close();  // must not crash
 }
 
 TEST(ObsTracer, DisabledTracerRecordsNothing) {
     obs::Tracer t(false);
-    const int idx = t.beginSpan("never");
-    EXPECT_EQ(idx, -1);
-    t.endSpan(idx);
-    t.addCompleteSpan("also-never", "", 0, 10);
+    const auto h = t.begin("never");
+    EXPECT_EQ(h.id, 0u);
+    t.end(h);
+    EXPECT_EQ(t.addCompleteSpan("also-never", "", 0, 10), 0u);
     { obs::ScopedSpan s(t, "scoped-never"); }
-    EXPECT_TRUE(t.spans().empty());
-    // spans() never allocated: capacity stays zero on the disabled path.
-    EXPECT_EQ(t.spans().capacity(), 0u);
+    EXPECT_EQ(t.spanCount(), 0u);
+    EXPECT_TRUE(t.snapshot().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -322,13 +323,19 @@ TEST(ObsReport, ChromeTraceIsValidAndLoadsSpans) {
     EXPECT_EQ(meta.at("ph").stringValue(), "M");
     EXPECT_EQ(meta.at("name").stringValue(), "process_name");
 
-    for (size_t i = 1; i < t.at("traceEvents").items().size(); ++i) {
-        const obs::Json& ev = t.at("traceEvents").items()[i];
+    // Metadata rows ("M": process and thread names) aside, every event
+    // is a complete span with a non-negative start and duration.
+    int spans = 0;
+    for (const obs::Json& ev : t.at("traceEvents").items()) {
+        if (ev.at("ph").stringValue() == "M") continue;
+        ++spans;
         EXPECT_EQ(ev.at("ph").stringValue(), "X");
-        EXPECT_TRUE(ev.at("ts").isNumber());
-        EXPECT_TRUE(ev.at("dur").isNumber());
+        ASSERT_TRUE(ev.at("ts").isNumber());
+        ASSERT_TRUE(ev.at("dur").isNumber());
+        EXPECT_GE(ev.at("ts").numberValue(), 0.0);
         EXPECT_GE(ev.at("dur").numberValue(), 0.0);
     }
+    EXPECT_EQ(static_cast<std::size_t>(spans), session.tracer->spanCount());
 }
 
 }  // namespace

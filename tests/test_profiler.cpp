@@ -777,8 +777,7 @@ TEST(TraceEscaping, JsonEscapeHandlesEveryControlChar) {
 
 TEST(TraceEscaping, ChromeTraceWithControlCharNamesStaysParseable) {
     obs::Tracer t;
-    const int a = t.beginSpan("pass\nwith\x01newline", "pass");
-    t.endSpan(a);
+    t.end(t.begin("pass\nwith\x01newline", "pass"));
     const Json doc = obs::buildChromeTrace(t, "proc\tname\x02");
     const std::string text = doc.dump(-1);  // compact: no format newlines
     // A raw control char in the output would make it invalid JSON.

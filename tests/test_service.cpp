@@ -389,11 +389,12 @@ TEST(ArtifactCache, ShedRacesConcurrentInsertsSafely) {
     ASSERT_NE(pinned, nullptr);
 
     std::atomic<bool> go{false};
+    std::atomic<int> writersDone{0};
     std::atomic<std::size_t> totalShed{0};
     std::vector<std::thread> writers;
     writers.reserve(4);
     for (int t = 0; t < 4; ++t)
-        writers.emplace_back([&cache, &go, t, &art] {
+        writers.emplace_back([&cache, &go, &writersDone, t, &art] {
             while (!go.load()) {
             }
             for (int i = 0; i < 500; ++i) {
@@ -402,11 +403,17 @@ TEST(ArtifactCache, ShedRacesConcurrentInsertsSafely) {
                 cache.put(key, art(key));
                 if (i % 16 == 0) (void)cache.get(key);
             }
+            writersDone.fetch_add(1);
         });
-    std::thread shedder([&cache, &go, &totalShed] {
+    std::thread shedder([&cache, &go, &writersDone, &totalShed] {
         while (!go.load()) {
         }
         for (int i = 0; i < 200; ++i) totalShed += cache.shed(8);
+        // A shedder scheduled ahead of every writer finds an empty
+        // cache; keep shedding until the writers finish, then once
+        // more, so the storm's inserts always meet a shed.
+        while (writersDone.load() < 4) totalShed += cache.shed(8);
+        totalShed += cache.shed(8);
     });
     go.store(true);
     for (std::thread& w : writers) w.join();
@@ -727,6 +734,20 @@ TEST(Batch, RejectsUnknownOptionKeys) {
     EXPECT_NE(err.find("unknown option 'engine'"), std::string::npos) << err;
 }
 
+TEST(Batch, RejectsDuplicateJobNames) {
+    // The journal and --resume key rows by name: two jobs sharing one
+    // would make the second row vanish as a duplicate.
+    std::string perr, err;
+    const obs::Json doc = obs::Json::parse(
+        R"([{"name": "x", "program": "fig1", "grid": [4]},
+            {"name": "x", "program": "fig2", "grid": [4]}])",
+        &perr);
+    ASSERT_TRUE(perr.empty());
+    service::BatchSpec spec;
+    EXPECT_FALSE(service::parseBatchSpec(doc, &spec, &err));
+    EXPECT_NE(err.find("duplicate job name 'x'"), std::string::npos) << err;
+}
+
 TEST(Batch, RepeatExpandsAndRejectsAmbiguousJobs) {
     std::string perr;
     service::BatchSpec batch;
@@ -761,9 +782,10 @@ TEST(SimulateSpan, ExecSpanStaysInsideTheSimulateSpan) {
     auto sim = c.simulate({.threads = 1, .tracer = &tracer});
     ASSERT_NE(sim, nullptr);
 
+    const std::vector<obs::TraceSpan> spans = tracer.snapshot();
     const obs::TraceSpan* exec = nullptr;
     const obs::TraceSpan* simulate = nullptr;
-    for (const obs::TraceSpan& s : tracer.spans()) {
+    for (const obs::TraceSpan& s : spans) {
         if (s.name.rfind("sim-exec", 0) == 0) exec = &s;
         if (s.name == "simulate") simulate = &s;
     }
@@ -771,6 +793,7 @@ TEST(SimulateSpan, ExecSpanStaysInsideTheSimulateSpan) {
     ASSERT_NE(simulate, nullptr);
     ASSERT_TRUE(exec->closed());
     ASSERT_TRUE(simulate->closed());
+    EXPECT_EQ(exec->parent, simulate->id);
     EXPECT_GE(exec->startNs, simulate->startNs);
     EXPECT_GE(exec->durNs, 0);
     EXPECT_LE(exec->startNs + exec->durNs,

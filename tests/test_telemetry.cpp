@@ -1,7 +1,7 @@
 // The service-grade telemetry layer: quantile estimation on the
 // fixed-boundary histograms, Prometheus text exposition, the
-// thread-safe concurrent tracer (cross-thread span parenting, Tracer
-// import, per-thread Chrome rows), the flight-recorder ring (ordering,
+// thread-safe tracer (cross-thread span parenting, compile sessions
+// appended under their service request, per-thread Chrome rows), the flight-recorder ring (ordering,
 // wrap-around, concurrent writers, dump-on-fault), the process thread
 // registry with pool worker naming, and the loopback HTTP exposition
 // endpoint.
@@ -21,11 +21,11 @@
 
 #include "driver/compiler.h"
 #include "obs/chrome_trace.h"
-#include "obs/concurrent_trace.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "programs/programs.h"
+#include "service/compile_service.h"
 #include "service/http_exposition.h"
 #include "support/fault.h"
 #include "support/parallel.h"
@@ -44,15 +44,15 @@
 namespace phpf {
 namespace {
 
-using obs::ConcurrentScopedSpan;
-using obs::ConcurrentSpan;
-using obs::ConcurrentTracer;
 using obs::ContextScope;
 using obs::FlightRecorder;
 using obs::Histogram;
 using obs::Json;
 using obs::MetricRegistry;
+using obs::ScopedSpan;
 using obs::SpanContext;
+using obs::TraceSpan;
+using obs::Tracer;
 
 // ---------------------------------------------------------------------
 // Histogram quantiles
@@ -301,13 +301,13 @@ TEST(TelemetryHistogram, RestoreFromJsonShapeMatchesOriginal) {
 }
 
 TEST(TelemetryTracer, DrainClosedKeepsOpenSpansAndTheirHandles) {
-    ConcurrentTracer t;
+    Tracer t;
     auto open = t.begin("still-running", "x");
     for (int i = 0; i < 5; ++i) t.end(t.begin("done", "x"));
 
     auto drained = t.drainClosed(3);  // bounded batch
     EXPECT_EQ(drained.size(), 3u);
-    for (const ConcurrentSpan& s : drained) EXPECT_TRUE(s.closed());
+    for (const TraceSpan& s : drained) EXPECT_TRUE(s.closed());
     drained = t.drainClosed(100);
     EXPECT_EQ(drained.size(), 2u);
 
@@ -321,11 +321,11 @@ TEST(TelemetryTracer, DrainClosedKeepsOpenSpansAndTheirHandles) {
 }
 
 // ---------------------------------------------------------------------
-// ConcurrentTracer
+// Tracer
 // ---------------------------------------------------------------------
 
 TEST(TelemetryTracer, SameThreadSpansNestById) {
-    ConcurrentTracer t;
+    Tracer t;
     auto outer = t.begin("outer", "x");
     auto inner = t.begin("inner", "x");
     t.end(inner);
@@ -342,7 +342,7 @@ TEST(TelemetryTracer, SameThreadSpansNestById) {
 }
 
 TEST(TelemetryTracer, DisabledTracerRecordsNothing) {
-    ConcurrentTracer t(/*enabled=*/false);
+    Tracer t(/*enabled=*/false);
     auto h = t.begin("nope");
     EXPECT_EQ(h.id, 0u);
     t.end(h);
@@ -351,11 +351,11 @@ TEST(TelemetryTracer, DisabledTracerRecordsNothing) {
 }
 
 TEST(TelemetryTracer, ContextScopeParentsPoolWorkUnderTheRequest) {
-    ConcurrentTracer t;
+    Tracer t;
     TaskPool pool(2, "ctx-test");
     std::uint64_t rootId = 0;
     {
-        ConcurrentScopedSpan root(t, "request", "service");
+        ScopedSpan root(t, "request", "service");
         rootId = root.context().spanId;
         ASSERT_NE(rootId, 0u);
         const SpanContext ctx = root.context();
@@ -363,7 +363,7 @@ TEST(TelemetryTracer, ContextScopeParentsPoolWorkUnderTheRequest) {
         for (int k = 0; k < 2; ++k)
             pool.post([&t, ctx, &done] {
                 ContextScope adopt(t, ctx);
-                ConcurrentScopedSpan work(t, "work", "service");
+                ScopedSpan work(t, "work", "service");
                 done.fetch_add(1);
             });
         pool.drain();
@@ -383,7 +383,7 @@ TEST(TelemetryTracer, ContextScopeParentsPoolWorkUnderTheRequest) {
 }
 
 TEST(TelemetryTracer, CrossThreadEndClosesTheSpan) {
-    ConcurrentTracer t;
+    Tracer t;
     auto h = t.begin("handoff", "service");
     std::thread closer([&t, h] { t.end(h); });
     closer.join();
@@ -392,36 +392,61 @@ TEST(TelemetryTracer, CrossThreadEndClosesTheSpan) {
     EXPECT_TRUE(spans[0].closed());
 }
 
-TEST(TelemetryTracer, ImportTracerReconstructsParentsFromDepth) {
-    obs::Tracer src;
-    const int a = src.beginSpan("pass-a", "pass");
-    const int b = src.beginSpan("pass-a.child", "pass");
-    src.endSpan(b);
-    src.endSpan(a);
-    const int c = src.beginSpan("pass-b", "pass");
-    src.endSpan(c);
-
-    ConcurrentTracer dst;
-    std::uint64_t rootId = 0;
+TEST(TelemetryTracer, ServicePutsEveryStageSpanUnderItsRequest) {
+    Tracer t;
+    service::ServiceConfig cfg;
+    cfg.workers = 2;
+    cfg.tracer = &t;
     {
-        ConcurrentScopedSpan root(dst, "compile", "service");
-        rootId = root.context().spanId;
-        dst.importTracer(src, root.context(), /*offsetNs=*/1000);
+        service::CompileService svc(cfg);
+        std::vector<std::shared_future<service::CompileResult>> futs;
+        for (const int n : {16, 24}) {
+            service::CompileRequest req;
+            req.name = "fig1-" + std::to_string(n);
+            req.build = [n] { return programs::fig1(n); };
+            req.target.gridExtents = {4};
+            futs.push_back(svc.submit(std::move(req)));
+        }
+        for (auto& f : futs)
+            ASSERT_EQ(f.get().status, service::CompileStatus::Ok);
     }
-    std::map<std::string, ConcurrentSpan> byName;
-    for (const auto& s : dst.snapshot()) byName[s.name] = s;
-    ASSERT_EQ(byName.count("pass-a"), 1u);
-    ASSERT_EQ(byName.count("pass-a.child"), 1u);
-    ASSERT_EQ(byName.count("pass-b"), 1u);
-    EXPECT_EQ(byName["pass-a"].parent, rootId);
-    EXPECT_EQ(byName["pass-b"].parent, rootId);
-    EXPECT_EQ(byName["pass-a.child"].parent, byName["pass-a"].id);
-    // The offset shifted the imported timeline.
-    EXPECT_GE(byName["pass-a"].startNs, 1000);
+    const std::vector<TraceSpan> spans = t.snapshot();
+    std::map<std::uint64_t, const TraceSpan*> byId;
+    for (const TraceSpan& s : spans) byId[s.id] = &s;
+    // The request span a span hangs under, following recorded parents.
+    const auto requestOf = [&](const TraceSpan& s) -> const TraceSpan* {
+        for (auto it = byId.find(s.parent); it != byId.end();
+             it = byId.find(it->second->parent))
+            if (it->second->name.rfind("request:", 0) == 0) return it->second;
+        return nullptr;
+    };
+    std::map<std::string, std::set<std::string>> stagesByRequest;
+    for (const TraceSpan& s : spans) {
+        if (s.category != "pass") continue;
+        const TraceSpan* req = requestOf(s);
+        ASSERT_NE(req, nullptr) << s.name << " floats outside a request";
+        if (s.name == "compile") {
+            EXPECT_EQ(s.parent, req->id);  // the session's root
+        } else {
+            // A stage under compile, or dataflow-rebuild under the
+            // induction-rewrite stage that triggered it.
+            ASSERT_EQ(byId.count(s.parent), 1u);
+            EXPECT_EQ(byId[s.parent]->name,
+                      s.name == "dataflow-rebuild" ? "induction-rewrite"
+                                                   : "compile");
+        }
+        EXPECT_TRUE(stagesByRequest[req->name].insert(s.name).second)
+            << s.name << " recorded twice under " << req->name;
+    }
+    ASSERT_EQ(stagesByRequest.size(), 2u);
+    for (const auto& [req, stages] : stagesByRequest)
+        for (const char* stage : {"compile", "finalize", "ssa", "mapping-pass",
+                                  "spmd-lowering"})
+            EXPECT_EQ(stages.count(stage), 1u) << req << " lacks " << stage;
 }
 
 TEST(TelemetryTracer, SnapshotMergesShardsSortedByStart) {
-    ConcurrentTracer t;
+    Tracer t;
     std::vector<std::thread> ts;
     for (int k = 0; k < 4; ++k)
         ts.emplace_back([&t, k] {
@@ -457,10 +482,10 @@ SimTraceShape simShape(int threads) {
     TargetConfig opts;
     opts.gridExtents = {4};
     Compilation c = Compiler::compile(p, opts);
-    ConcurrentTracer ct;
+    Tracer ct;
     SimulationRequest req;
     req.threads = threads;
-    req.ctracer = &ct;
+    req.tracer = &ct;
     auto sim = c.simulate(req);
     SimTraceShape shape;
     for (const auto& s : ct.snapshot()) {
@@ -491,6 +516,39 @@ TEST(TelemetrySimSpans, WorkerRowsParentUnderSimExecAtEveryThreadCount) {
     }
 }
 
+// One tracer end to end, as phpfc runs it: the compile session's tracer
+// also receives the simulation, so exactly one sim-exec span exists, it
+// sits under simulate, and every worker row hangs under it.
+TEST(TelemetrySimSpans, OneSimExecSpanUnderSimulateOwnsEveryWorkerRow) {
+    Program p = programs::fig1(32);
+    TargetConfig opts;
+    opts.gridExtents = {4};
+    CompileSession session;
+    session.tracer = std::make_shared<Tracer>();
+    Compilation c = Compiler::compile(p, opts, PassOptions{}, session);
+    auto sim = c.simulate({.threads = 4});
+    ASSERT_EQ(sim->threads(), 4);
+
+    const std::vector<TraceSpan> spans = session.tracer->snapshot();
+    std::vector<const TraceSpan*> execs;
+    const TraceSpan* simulate = nullptr;
+    for (const TraceSpan& s : spans) {
+        if (s.name.rfind("sim-exec", 0) == 0) execs.push_back(&s);
+        if (s.name == "simulate") simulate = &s;
+    }
+    ASSERT_EQ(execs.size(), 1u);
+    EXPECT_EQ(execs[0]->name, "sim-exec[4t]");
+    ASSERT_NE(simulate, nullptr);
+    EXPECT_EQ(execs[0]->parent, simulate->id);
+    int workers = 0;
+    for (const TraceSpan& s : spans) {
+        if (s.name.rfind("sim-worker-", 0) != 0) continue;
+        ++workers;
+        EXPECT_EQ(s.parent, execs[0]->id) << s.name;
+    }
+    EXPECT_EQ(workers, 3);
+}
+
 TEST(TelemetrySimSpans, TraceShapeIsDeterministicAcrossRepeats) {
     const SimTraceShape a = simShape(4);
     const SimTraceShape b = simShape(4);
@@ -518,16 +576,16 @@ TEST(TelemetrySimSpans, PhaseHistogramsFillWhenTelemetryIsSet) {
 // ---------------------------------------------------------------------
 
 TEST(TelemetryChromeTrace, EmitsNamedPerThreadRowsAndSpanIds) {
-    ConcurrentTracer t;
+    Tracer t;
     std::uint64_t rootId = 0;
     {
-        ConcurrentScopedSpan root(t, "root", "x");
+        ScopedSpan root(t, "root", "x");
         rootId = root.context().spanId;
         const SpanContext ctx = root.context();
         std::thread w([&t, ctx] {
             thread_registry::setCurrentName("trace-test-worker");
             ContextScope adopt(t, ctx);
-            ConcurrentScopedSpan s(t, "child", "x");
+            ScopedSpan s(t, "child", "x");
         });
         w.join();
     }
