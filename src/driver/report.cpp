@@ -91,6 +91,7 @@ obs::Json simulationJson(const SpmdSimulator& sim, const SpmdLowering& low) {
     j.set("bytes_moved", sim.bytesMoved());
     j.set("elem_bytes", sim.elemBytes());
     j.set("statements_executed_all_procs", sim.statementsExecutedAllProcs());
+    j.set("loop_kernel_instances", sim.loopKernelInstances());
 
     obs::Json perProc = obs::Json::array();
     std::int64_t maxStmts = 0;

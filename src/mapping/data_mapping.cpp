@@ -4,10 +4,9 @@
 
 namespace phpf {
 
-GridSet ArrayMap::ownerOf(const std::vector<std::int64_t>& idx,
-                          const ProcGrid& grid) const {
+void ArrayMap::ownerInto(std::span<const std::int64_t> idx,
+                         const ProcGrid& grid, GridSet& out) const {
     PHPF_ASSERT(idx.size() == dims.size(), "subscript rank mismatch");
-    GridSet out;
     out.coord.assign(static_cast<size_t>(grid.rank()), -1);
     for (int g = 0; g < grid.rank(); ++g) {
         if (fixedCoord[static_cast<size_t>(g)] >= 0)
@@ -20,7 +19,6 @@ GridSet ArrayMap::ownerOf(const std::vector<std::int64_t>& idx,
             m.dist.ownerOf(idx[d] + m.alignOffset);
     }
     // replicatedGrid dims stay at -1 (all coordinates).
-    return out;
 }
 
 DataMapping::DataMapping(const Program& p, const ProcGrid& grid) : grid_(grid) {

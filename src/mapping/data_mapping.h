@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "ir/program.h"
@@ -80,9 +81,17 @@ struct ArrayMap {
         return -1;
     }
 
-    /// Owner set of element `idx` (empty idx for scalars).
+    /// Owner set of element `idx` (empty idx for scalars), written into
+    /// `out` so a caller walking many elements reuses one GridSet.
+    void ownerInto(std::span<const std::int64_t> idx, const ProcGrid& grid,
+                   GridSet& out) const;
+    /// ownerInto into a fresh GridSet.
     [[nodiscard]] GridSet ownerOf(const std::vector<std::int64_t>& idx,
-                                  const ProcGrid& grid) const;
+                                  const ProcGrid& grid) const {
+        GridSet out;
+        ownerInto(idx, grid, out);
+        return out;
+    }
 };
 
 /// Resolves the program's DISTRIBUTE / ALIGN directives against a

@@ -21,9 +21,8 @@ namespace phpf::obs {
 /// message events) are exact and — like every simulator metric —
 /// bit-identical across lockstep worker-thread counts: they are bumped
 /// on the main thread at statement boundaries and merge barriers, in
-/// deterministic order. Wall time is 1-in-kSampleEvery sampled (the
-/// kTelemetrySample discipline: a phase is microseconds long, so timing
-/// every one would dominate it); the sample *counts* are deterministic
+/// deterministic order. Wall time is 1-in-kSampleEvery sampled (timing
+/// every phase would dominate it); the sample *counts* are deterministic
 /// (the tick sequence advances once per phase regardless of threads),
 /// the sampled durations are host-dependent.
 ///
@@ -33,9 +32,8 @@ namespace phpf::obs {
 /// re-sample on the same ticks).
 class StmtProfile {
 public:
-    /// Wall-time sampling period (power of two), matching the
-    /// simulator's kTelemetrySample so the armed-overhead budget is the
-    /// same <2% the telemetry bench enforces.
+    /// Wall-time sampling period (power of two). Sample counts are part
+    /// of the simulator's golden records, so the period is fixed.
     static constexpr std::uint32_t kSampleEvery = 64;
 
     struct Row {

@@ -4,9 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "ir/printer.h"
 #include "obs/flight_recorder.h"
@@ -138,9 +138,10 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
     size_t maxSlots = 1;
     for (const StmtPlan& p : plans_)
         maxSlots = std::max(maxSlots, p.code.slots.size());
-    slotFlat_.assign(maxSlots, 0);
+    // One more entry for an Assign's lhs after its slots.
+    slotFlat_.assign(maxSlots + 1, 0);
+    slotElem_.assign(maxSlots + 1, 0);
     slotRow_.assign(maxSlots, 0);
-    slotElem_.assign(maxSlots, 0);
     slotMissV_.assign(maxSlots, 0.0);
     slotMissSrc_.assign(maxSlots, -1);
     slotMissResolved_.assign(maxSlots, 0);
@@ -296,6 +297,67 @@ void SpmdSimulator::buildPlans() {
             if (divergent[static_cast<size_t>(r.sym)] != 0) uniform = false;
         plan.laneUniform = uniform;
     });
+    prog_.forEachStmt([&](const Stmt* s) {
+        if (s->kind == StmtKind::Do)
+            plans_[static_cast<size_t>(s->id)].loopKernel = planLoopKernel(s);
+    });
+}
+
+bool SpmdSimulator::planLoopKernel(const Stmt* s) {
+    if (s->body.empty()) return false;
+    // Symbols the body's index forms read, and symbols the body assigns.
+    std::vector<SymbolId> read;
+    std::vector<SymbolId> assigned;
+    // The loop-variable coefficient of an affine form (recording the
+    // symbols it reads); nullopt for a non-affine form.
+    const auto ivCoeff =
+        [&](const bc::IndexForm& f) -> std::optional<std::int64_t> {
+        if (!f.affine) return std::nullopt;
+        std::int64_t c = 0;
+        for (const bc::IndexForm::Term& t : f.terms) {
+            read.push_back(t.sym);
+            if (t.sym == s->loopVar) c += t.coeff;
+        }
+        return c;
+    };
+    for (const Stmt* b : s->body) {
+        if (b->kind != StmtKind::Assign || b->label >= 0) return false;
+        StmtPlan& plan = plans_[static_cast<size_t>(b->id)];
+        const StmtExec::Guard guard = plan.exec->guard;
+        if (!plan.laneUniform || guard == StmtExec::Guard::Union ||
+            (guard == StmtExec::Guard::OwnerOf && !plan.execSingleton))
+            return false;
+        const size_t n = plan.code.slots.size();
+        plan.ivCoeff.assign(n + 1, 0);
+        plan.execVaries = false;
+        if (guard == StmtExec::Guard::OwnerOf)
+            for (size_t g = 0; g < plan.code.execIndex.size(); ++g) {
+                if (plan.exec->execDesc.dims[g].kind !=
+                    RefDim::Kind::Partitioned)
+                    continue;
+                const auto c = ivCoeff(plan.code.execIndex[g]);
+                if (!c) return false;
+                plan.execVaries = plan.execVaries || *c != 0;
+            }
+        for (size_t i = 0; i < n; ++i) {
+            if (!plan.code.slots[i].isArray) continue;
+            const auto c = ivCoeff(plan.code.slotIndex[i]);
+            if (!c) return false;
+            plan.ivCoeff[i] = *c;
+        }
+        if (b->lhs->kind == ExprKind::ArrayRef) {
+            const auto c = ivCoeff(plan.code.lhsIndex);
+            if (!c) return false;
+            plan.ivCoeff[n] = *c;
+        } else {
+            assigned.push_back(b->lhs->sym);
+        }
+    }
+    for (const SymbolId a : assigned)
+        if (a == s->loopVar ||
+            std::find(read.begin(), read.end(), a) != read.end())
+            return false;
+    return true;
 }
 
 void SpmdSimulator::evalDescIntoBc(const RefDesc& desc,
@@ -528,23 +590,33 @@ void SpmdSimulator::phaseWorker(int worker) {
     }
 }
 
-bool SpmdSimulator::scanSlots(const StmtPlan& plan,
-                              const std::vector<int>& execs) {
+void SpmdSimulator::resolveSlotIndices(const Stmt* s, const StmtPlan& plan) {
     const std::vector<bc::FetchSlot>& slots = plan.code.slots;
     const Store& ref = oracle_.store();
+    // Subscripts are iteration-dependent but identical on every
+    // executor: resolve them once on the oracle.
+    for (size_t i = 0; i < slots.size(); ++i) {
+        slotFlat_[i] = slots[i].isArray
+                           ? bc::evalIndexForm(plan.code.slotIndex[i], oracle_)
+                           : 0;
+        slotElem_[i] = ref.elemIndexOf(slots[i].sym, slotFlat_[i]);
+    }
+    if (s->kind != StmtKind::Assign) return;
+    const size_t n = slots.size();
+    slotFlat_[n] = s->lhs->kind == ExprKind::ArrayRef
+                       ? bc::evalIndexForm(plan.code.lhsIndex, oracle_)
+                       : 0;
+    slotElem_[n] = ref.elemIndexOf(s->lhs->sym, slotFlat_[n]);
+}
+
+bool SpmdSimulator::scanSlots(const StmtPlan& plan,
+                              const std::vector<int>& execs,
+                              const std::int64_t* elems) {
+    const size_t n = plan.code.slots.size();
     const bool dense = &execs == &allProcs_;
     bool clean = true;
-    for (size_t i = 0; i < slots.size(); ++i) {
-        // Subscripts are iteration-dependent but identical on every
-        // executor: resolve the flat index once on the oracle.
-        const std::int64_t flat =
-            slots[i].isArray
-                ? bc::evalIndexForm(plan.code.slotIndex[i], oracle_)
-                : 0;
-        const std::int64_t elem = ref.elemIndexOf(slots[i].sym, flat);
-        slotFlat_[i] = flat;
-        slotElem_[i] = elem;
-        slotRow_[i] = elem * procCount_;
+    for (size_t i = 0; i < n; ++i) {
+        slotRow_[i] = elems[i] * procCount_;
         slotMissResolved_[i] = 0;
         // Pre-resolve every slot some executor will miss: validity is
         // frozen for the whole phase, so the resolution is identical for
@@ -574,75 +646,37 @@ bool SpmdSimulator::scanSlots(const StmtPlan& plan,
     return clean;
 }
 
-double SpmdSimulator::oracleValue(const StmtPlan& plan) {
+double SpmdSimulator::oracleValue(const StmtPlan& plan,
+                                  const std::int64_t* elems) {
     const double* od = oracle_.store().dataRaw();
     return vm::runScalar(plan.code.value, oracleRegs_.data(),
-                         [&](int slot) { return od[slotElem_[slot]]; });
+                         [&](int slot) { return od[elems[slot]]; });
+}
+
+void SpmdSimulator::PhaseClock::record() const {
+    const double us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    if (hist != nullptr) hist->record(us);
+    if (prof == nullptr) return;
+    if (merge)
+        prof->addMergeSample(us);
+    else
+        prof->addEvalSample(us);
 }
 
 void SpmdSimulator::evalPhase(const StmtPlan& plan,
                               const std::vector<int>& execs,
                               SymbolId directSym) {
-    // Telemetry is opt-in (evalHist_ resolved once in setTelemetry);
-    // unarmed runs pay a null check, not a clock read. Armed runs
-    // sample 1 in kTelemetrySample phases: a phase is microseconds
-    // long, so timing every one would cost more than the phase.
-    const bool sampleEval =
-        evalHist_ != nullptr && (evalTick_++ & (kTelemetrySample - 1)) == 0;
-    // The profiler keeps its own tick (checkpointed with the profile),
-    // so its sample schedule is deterministic even across recovery.
-    const bool profEval = profile_ != nullptr && profile_->sampleEval();
-    std::chrono::steady_clock::time_point t0;
-    if (sampleEval || profEval) t0 = std::chrono::steady_clock::now();
-    const auto recordSample = [&] {
-        if (!sampleEval && !profEval) return;
-        const double us = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-        if (sampleEval) evalHist_->record(us);
-        if (profEval) profile_->addEvalSample(us);
-    };
+    const PhaseClock clock = startPhase(/*merge=*/false);
     const size_t ne = execs.size();
-    phaseClean_ = scanSlots(plan, execs);
-    if (plan.laneUniform) {
-        // Every lane would compute the oracle's value (see buildPlans):
-        // skip the VM run and record just the communication — the same
-        // misses, in the same slot-major lane order, with the same
-        // pending-copy dedup the VM's fetches would produce. execStmt
-        // broadcasts the oracle's result to the executors.
-        const std::vector<bc::FetchSlot>& slots = plan.code.slots;
-        WorkerScratch& w = workers_[0];
-        for (size_t i = 0; i < slots.size(); ++i) {
-            if (slotAllValid_[i] != 0) continue;
-            // Runtime aliasing is an SoA-row equality: an earlier slot
-            // with the same row has the same frozen validity, so every
-            // lane missing here already fetched the element there (all
-            // records pending — nothing new); with no such slot, no
-            // pending copy can match and the records are straight
-            // appends of the resolution.
-            bool dup = false;
-            for (size_t j = 0; j < i; ++j)
-                if (slotRow_[j] == slotRow_[i]) dup = true;
-            if (dup) continue;
-            const char* vrow = soaValid_.data() + slotRow_[i];
-            const bc::FetchSlot& sl = slots[i];
-            const std::int64_t flat = sl.isArray ? slotFlat_[i] : 0;
-            for (const int p : execs) {
-                if (vrow[p] != 0) continue;
-                w.pending.push_back(PendingWrite{p, sl.sym, flat, slotMissV_[i]});
-                w.misses.push_back(
-                    MissRecord{plan.slotOp[i], p, slotMissSrc_[i]});
-            }
-        }
-        recordSample();
-        return;
-    }
+    phaseClean_ = scanSlots(plan, execs, slotElem_.data());
     values_.resize(ne);
     if (pool_ == nullptr || static_cast<int>(ne) < threads_) {
         runLanesInto(workers_[0], plan, execs, 0,
                      static_cast<std::int64_t>(ne));
         if (directSym != kNoSymbol) storeLanes(directSym, 0, execs, 0, ne);
-        recordSample();
+        clock.stop();
         return;
     }
     phaseExecs_ = &execs;
@@ -653,7 +687,7 @@ void SpmdSimulator::evalPhase(const StmtPlan& plan,
             static_cast<SpmdSimulator*>(ctx)->phaseWorker(worker);
         },
         this);
-    recordSample();
+    clock.stop();
     for (WorkerScratch& ws : workers_) {
         if (ws.error == nullptr) continue;
         const std::exception_ptr err = ws.error;
@@ -667,11 +701,7 @@ void SpmdSimulator::evalPhase(const StmtPlan& plan,
 }
 
 void SpmdSimulator::mergeWorkers() {
-    const bool sampleMerge =
-        mergeHist_ != nullptr && (mergeTick_++ & (kTelemetrySample - 1)) == 0;
-    const bool profMerge = profile_ != nullptr && profile_->sampleMerge();
-    std::chrono::steady_clock::time_point t0;
-    if (sampleMerge || profMerge) t0 = std::chrono::steady_clock::now();
+    const PhaseClock clock = startPhase(/*merge=*/true);
     // Event-context memo: the oracle's scalars are constant for the
     // whole merge, so after noteEvent(op) ran once, repeating it for
     // the same op is a guaranteed duplicate (InternedEventSet::record
@@ -703,12 +733,16 @@ void SpmdSimulator::mergeWorkers() {
         ws.pending.clear();
         ws.misses.clear();
     }
-    if (sampleMerge || profMerge) {
-        const double us = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-        if (sampleMerge) mergeHist_->record(us);
-        if (profMerge) profile_->addMergeSample(us);
+    clock.stop();
+}
+
+void SpmdSimulator::beginInstance(const Stmt* s,
+                                  const std::vector<int>& execs) {
+    procStmts_ += static_cast<std::int64_t>(execs.size());
+    accountExecutors(execs);
+    if (profile_ != nullptr) {
+        profile_->beginStmt(s->id);
+        profile_->addExecutors(execs);
     }
 }
 
@@ -718,24 +752,14 @@ void SpmdSimulator::execStmt(const Stmt* s) {
             if (boundaryArmed_) boundary(s);
             const StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
             const std::vector<int>& execs = executorsOf(s);
-            procStmts_ += static_cast<std::int64_t>(execs.size());
-            accountExecutors(execs);
-            if (profile_ != nullptr) {
-                profile_->beginStmt(s->id);
-                profile_->addExecutors(execs);
-            }
-            if (plan.laneUniform && evalHist_ == nullptr &&
-                mergeHist_ == nullptr && profile_ == nullptr &&
-                transport_ == nullptr) {
-                // No sampler needs its tick and no fault schedule is
-                // polled: take the fused uniform path.
-                execUniformBc(s, plan, execs);
+            beginInstance(s, execs);
+            resolveSlotIndices(s, plan);
+            if (plan.laneUniform) {
+                uniformKernel(s, plan, execs, slotElem_.data());
                 break;
             }
-            const std::int64_t flat =
-                s->lhs->kind == ExprKind::ArrayRef
-                    ? bc::evalIndexForm(plan.code.lhsIndex, oracle_)
-                    : 0;
+            const size_t lhsAt = plan.code.slots.size();
+            const std::int64_t flat = slotFlat_[lhsAt];
             // Relaxed mode: a scalar reduction accumulator is committed
             // by each executor as soon as its lane finishes, skipping
             // the merge-order barrier below. Safe because the combine
@@ -751,23 +775,14 @@ void SpmdSimulator::execStmt(const Stmt* s) {
             // Apply the statement's effect on the oracle through the
             // same bytecode, so the reference state never pays a tree
             // walk either; the oracle's accounting matches execStmt.
-            const double v = oracleValue(plan);
-            const std::int64_t row = soaRowOf(s->lhs->sym, flat);
+            const double v = oracleValue(plan, slotElem_.data());
             if (!plan.isReductionAcc)
                 // Non-executors' copies become stale: one contiguous
                 // validity-row clear.
-                std::memset(soaValid_.data() + row, 0,
-                            static_cast<size_t>(procCount_));
-            if (plan.laneUniform) {
-                // Uniform phase: every executor's result is the oracle's
-                // value (no per-lane values_ were run).
-                for (const int p : execs) {
-                    soa_[static_cast<size_t>(row + p)] = v;
-                    soaValid_[static_cast<size_t>(row + p)] = 1;
-                }
-            } else if (!direct) {
+                std::memset(soaValid_.data() + slotElem_[lhsAt] * procCount_,
+                            0, static_cast<size_t>(procCount_));
+            if (!direct)
                 storeLanes(s->lhs->sym, flat, execs, 0, execs.size());
-            }
             oracle_.store().set(s->lhs->sym, flat, v);
             oracle_.noteStatementExecuted();
             break;
@@ -776,17 +791,18 @@ void SpmdSimulator::execStmt(const Stmt* s) {
             if (boundaryArmed_) boundary(s);
             const StmtPlan& plan = plans_[static_cast<size_t>(s->id)];
             const std::vector<int>& execs = executorsOf(s);
-            procStmts_ += static_cast<std::int64_t>(execs.size());
-            accountExecutors(execs);
-            if (profile_ != nullptr) {
-                profile_->beginStmt(s->id);
-                profile_->addExecutors(execs);
+            beginInstance(s, execs);
+            resolveSlotIndices(s, plan);
+            bool taken = false;
+            if (plan.laneUniform) {
+                taken = uniformKernel(s, plan, execs, slotElem_.data()) != 0.0;
+            } else {
+                evalPhase(plan, execs);  // predicate comm
+                if (!phaseClean_ || mergeHist_ != nullptr ||
+                    profile_ != nullptr)
+                    mergeWorkers();
+                taken = oracleValue(plan, slotElem_.data()) != 0.0;
             }
-            evalPhase(plan, execs);  // predicate comm
-            if (!phaseClean_ || mergeHist_ != nullptr ||
-                profile_ != nullptr)
-                mergeWorkers();
-            const bool taken = oracleValue(plan) != 0.0;
             if (trackCtrl_) {
                 CtrlFrame f;
                 f.stmt = s;
@@ -828,13 +844,7 @@ void SpmdSimulator::execStmt(const Stmt* s) {
             }
             {
                 FramePop pop{trackCtrl_ ? &ctrl_ : nullptr};
-                for (std::int64_t iv = lb; step > 0 ? iv <= ub : iv >= ub;
-                     iv += step) {
-                    if (trackCtrl_) ctrl_.back().iv = iv;
-                    oracle_.store().set(s->loopVar, 0, static_cast<double>(iv));
-                    soaBroadcast(s->loopVar, 0, static_cast<double>(iv));
-                    execLoopBody(s);
-                }
+                runIterations(s, lb, ub, step);
             }
             runCombines(s);
             break;
@@ -846,57 +856,28 @@ void SpmdSimulator::execStmt(const Stmt* s) {
     }
 }
 
-void SpmdSimulator::execUniformBc(const Stmt* s, const StmtPlan& plan,
-                                  const std::vector<int>& execs) {
-    const std::vector<bc::FetchSlot>& slots = plan.code.slots;
-    if (!scanSlots(plan, execs)) {
-        // Apply the misses in place — same slot-major lane order, same
-        // row-equality dedup and same per-merge event memo the deferred
-        // evalPhase + mergeWorkers pair produces (mutating a row here
-        // cannot change a later slot's miss set: an equal row is
-        // dedup-skipped, a different row is untouched).
-        ++mergeStamp_;
-        for (size_t i = 0; i < slots.size(); ++i) {
-            if (slotAllValid_[i] != 0) continue;
-            bool dup = false;
-            for (size_t j = 0; j < i; ++j)
-                if (slotElem_[j] == slotElem_[i]) dup = true;
-            if (dup) continue;
-            const std::int64_t row = slotRow_[i];
-            char* vrow = soaValid_.data() + row;
-            const double mv = slotMissV_[i];
-            const int src = slotMissSrc_[i];
-            const CommOp* op = plan.slotOp[i];
-            const size_t opId = static_cast<size_t>(op->id);
-            for (const int p : execs) {
-                if (vrow[p] != 0) continue;
-                soa_[static_cast<size_t>(row + p)] = mv;
-                vrow[p] = 1;
-                ++transfers_;
-                ++elemsPerOp_[opId];
-                ++procMetrics_[static_cast<size_t>(p)].recvElements;
-                ++procMetrics_[static_cast<size_t>(src)].sentElements;
-                std::uint64_t& stamp = opStamp_[opId];
-                if (stamp != mergeStamp_) {
-                    noteEvent(op);
-                    stamp = mergeStamp_;
-                }
-            }
-        }
-    }
-    // Every lane computes the oracle's value (lane uniformity): run the
-    // chunk once on the oracle and broadcast.
-    const double v = oracleValue(plan);
-    const std::int64_t flat =
-        s->lhs->kind == ExprKind::ArrayRef
-            ? bc::evalIndexForm(plan.code.lhsIndex, oracle_)
-            : 0;
+double SpmdSimulator::uniformKernel(const Stmt* s, const StmtPlan& plan,
+                                    const std::vector<int>& execs,
+                                    const std::int64_t* elems) {
+    // Every lane computes the oracle's value (lane uniformity, see
+    // buildPlans): no per-lane VM run, only the communication. The
+    // samplers tick as for a deferred eval + merge pair.
+    const PhaseClock eval = startPhase(/*merge=*/false);
+    const bool clean = scanSlots(plan, execs, elems);
+    eval.stop();
+    const PhaseClock merge = startPhase(/*merge=*/true);
+    if (!clean) applyMisses(plan, execs);
+    merge.stop();
+    const double v = oracleValue(plan, elems);
+    if (s->kind != StmtKind::Assign) return v;
+    const std::int64_t elem = elems[plan.code.slots.size()];
+    const std::int64_t row = elem * procCount_;
     if (&execs == &allProcs_) {
-        soaBroadcast(s->lhs->sym, flat, v);
+        std::fill_n(soa_.begin() + row, procCount_, v);
+        std::fill_n(soaValid_.begin() + row, procCount_, static_cast<char>(1));
     } else {
         // Non-executors' copies become stale (lane-uniform statements
         // are never reduction accumulations).
-        const std::int64_t row = soaRowOf(s->lhs->sym, flat);
         std::memset(soaValid_.data() + row, 0,
                     static_cast<size_t>(procCount_));
         for (const int p : execs) {
@@ -904,8 +885,148 @@ void SpmdSimulator::execUniformBc(const Stmt* s, const StmtPlan& plan,
             soaValid_[static_cast<size_t>(row + p)] = 1;
         }
     }
-    oracle_.store().set(s->lhs->sym, flat, v);
+    oracle_.store().dataRaw()[elem] = v;
+    oracle_.store().validRaw()[elem] = 1;
     oracle_.noteStatementExecuted();
+    return v;
+}
+
+void SpmdSimulator::applyMisses(const StmtPlan& plan,
+                                const std::vector<int>& execs) {
+    // Slot-major, lanes in executor order; a slot whose SoA row equals
+    // an earlier slot's is skipped (its missing lanes fetched the
+    // element there). Mutating a row cannot change a later slot's miss
+    // set: an equal row is skipped, a different row is untouched.
+    const size_t n = plan.code.slots.size();
+    // Event-context memo: the oracle's scalars are constant for the
+    // whole instance, so after noteEvent(op) ran once, repeating it for
+    // the same op is a guaranteed duplicate.
+    ++mergeStamp_;
+    for (size_t i = 0; i < n; ++i) {
+        if (slotAllValid_[i] != 0) continue;
+        bool dup = false;
+        for (size_t j = 0; j < i; ++j)
+            if (slotRow_[j] == slotRow_[i]) dup = true;
+        if (dup) continue;
+        const std::int64_t row = slotRow_[i];
+        char* vrow = soaValid_.data() + row;
+        const double mv = slotMissV_[i];
+        const int src = slotMissSrc_[i];
+        const CommOp* op = plan.slotOp[i];
+        const size_t opId = static_cast<size_t>(op->id);
+        for (const int p : execs) {
+            if (vrow[p] != 0) continue;
+            // Lossy-network mode: every element transfer rides the
+            // reliable transport, polled in this deterministic order.
+            if (transport_ != nullptr) transport_->deliver("element transfer");
+            soa_[static_cast<size_t>(row + p)] = mv;
+            vrow[p] = 1;
+            ++transfers_;
+            ++elemsPerOp_[opId];
+            ++procMetrics_[static_cast<size_t>(p)].recvElements;
+            ++procMetrics_[static_cast<size_t>(src)].sentElements;
+            if (profile_ != nullptr) profile_->addElement();
+            std::uint64_t& stamp = opStamp_[opId];
+            if (stamp != mergeStamp_) {
+                noteEvent(op);
+                stamp = mergeStamp_;
+            }
+        }
+    }
+}
+
+void SpmdSimulator::setLoopVar(const Stmt* s, std::int64_t iv) {
+    oracle_.store().set(s->loopVar, 0, static_cast<double>(iv));
+    soaBroadcast(s->loopVar, 0, static_cast<double>(iv));
+}
+
+void SpmdSimulator::runIterations(const Stmt* s, std::int64_t iv,
+                                  std::int64_t ub, std::int64_t step) {
+    if (plans_[static_cast<size_t>(s->id)].loopKernel &&
+        runLoopKernel(s, iv, ub, step))
+        return;
+    for (; step > 0 ? iv <= ub : iv >= ub; iv += step) {
+        if (trackCtrl_) ctrl_.back().iv = iv;
+        setLoopVar(s, iv);
+        execLoopBody(s);
+    }
+}
+
+bool SpmdSimulator::runLoopKernel(const Stmt* s, std::int64_t lb,
+                                  std::int64_t ub, std::int64_t step) {
+    if (step == 0) return false;
+    const std::int64_t trips =
+        step > 0 ? (ub >= lb ? (ub - lb) / step + 1 : 0)
+                 : (lb >= ub ? (lb - ub) / -step + 1 : 0);
+    if (trips == 0) return false;
+    // Every index input at the first iteration, from the oracle. The
+    // body assigns none of the symbols the forms read, so an input moves
+    // by exactly its loop-variable coefficient times the step. Affine,
+    // so an index inside its array at both ends stays inside throughout.
+    setLoopVar(s, lb);
+    loopElem_.clear();
+    loopElemStep_.clear();
+    loopOwner_.clear();
+    const Store& ref = oracle_.store();
+    for (const Stmt* b : s->body) {
+        const StmtPlan& plan = plans_[static_cast<size_t>(b->id)];
+        resolveSlotIndices(b, plan);
+        const size_t n = plan.code.slots.size();
+        for (size_t i = 0; i <= n; ++i) {
+            const SymbolId sym = i < n ? plan.code.slots[i].sym : b->lhs->sym;
+            const std::int64_t d = plan.ivCoeff[i] * step;
+            const std::int64_t first = slotFlat_[i];
+            const std::int64_t last = first + d * (trips - 1);
+            if (std::min(first, last) < 0 ||
+                std::max(first, last) >= ref.sizeOf(sym))
+                return false;
+            loopElem_.push_back(slotElem_[i]);
+            loopElemStep_.push_back(d);
+        }
+        loopOwner_.push_back(
+            plan.exec->guard == StmtExec::Guard::OwnerOf
+                ? singleProcOfBc(plan.exec->execDesc, plan.code.execIndex)
+                : -1);
+    }
+    std::int64_t iv = lb;
+    for (std::int64_t t = 0; t < trips; ++t, iv += step) {
+        if (trackCtrl_) ctrl_.back().iv = iv;
+        setLoopVar(s, iv);
+        const std::int64_t* elems = loopElem_.data();
+        for (size_t k = 0; k < s->body.size(); ++k) {
+            const Stmt* b = s->body[k];
+            const StmtPlan& plan = plans_[static_cast<size_t>(b->id)];
+            if (boundaryArmed_) boundary(b);
+            const std::vector<int>* execs = &allProcs_;
+            if (loopOwner_[k] >= 0) {
+                if (plan.execVaries)
+                    loopOwner_[k] = singleProcOfBc(plan.exec->execDesc,
+                                                   plan.code.execIndex);
+                PHPF_DASSERT(loopOwner_[k] ==
+                                 singleProcOfBc(plan.exec->execDesc,
+                                                plan.code.execIndex),
+                             "loop driver executor diverges from its form");
+                singleProcScratch_[0] = loopOwner_[k];
+                execs = &singleProcScratch_;
+            }
+            PHPF_DASSERT(loopInputsMatch(b, plan, elems),
+                         "loop driver index diverges from its form");
+            beginInstance(b, *execs);
+            loopKernelInstances_ += static_cast<std::int64_t>(execs->size());
+            uniformKernel(b, plan, *execs, elems);
+            elems += plan.code.slots.size() + 1;
+        }
+        for (size_t j = 0; j < loopElem_.size(); ++j)
+            loopElem_[j] += loopElemStep_[j];
+    }
+    return true;
+}
+
+bool SpmdSimulator::loopInputsMatch(const Stmt* s, const StmtPlan& plan,
+                                    const std::int64_t* elems) {
+    resolveSlotIndices(s, plan);
+    return std::equal(elems, elems + plan.code.slots.size() + 1,
+                      slotElem_.begin());
 }
 
 void SpmdSimulator::execLoopBody(const Stmt* s) {
@@ -1067,7 +1188,8 @@ void SpmdSimulator::takeCheckpoint(const Stmt* boundaryStmt) {
     }
     ckpt_ = std::make_unique<Checkpoint>(Checkpoint{
         soa_, soaValid_, oracle_.store(), oracle_.statementsExecuted(),
-        procMetrics_, transfers_, procStmts_, instances_, events_,
+        procMetrics_, transfers_, procStmts_, loopKernelInstances_,
+        instances_, events_,
         eventsPerOp_, elemsPerOp_, barrierEvents_, combineInit_,
         std::move(path),
         profile_ != nullptr
@@ -1096,6 +1218,7 @@ void SpmdSimulator::restoreCheckpoint() {
     procMetrics_ = ck.procMetrics;
     transfers_ = ck.transfers;
     procStmts_ = ck.procStmts;
+    loopKernelInstances_ = ck.loopKernelInstances;
     instances_ = ck.instances;
     events_ = ck.events;
     eventsPerOp_ = ck.eventsPerOp;
@@ -1169,36 +1292,26 @@ void SpmdSimulator::resumeDo(const CtrlFrame& f, size_t depth) {
     ctrl_.push_back(f);
     {
         FramePop pop{&ctrl_};
-        for (std::int64_t iv = f.iv; f.step > 0 ? iv <= f.ub : iv >= f.ub;
-             iv += f.step) {
-            ctrl_.back().iv = iv;
-            if (iv == f.iv) {
-                // The checkpointed iteration: its loop-variable stores
-                // are already part of the restored state; finish it from
-                // the recorded position.
-                try {
-                    resumeInto(s->body, depth + 1);
-                } catch (GotoSignal& g) {
-                    bool handled = false;
-                    for (size_t i = 0; i < s->body.size(); ++i) {
-                        if (s->body[i]->label == g.label) {
-                            std::vector<Stmt*> rest(
-                                s->body.begin() +
-                                    static_cast<std::ptrdiff_t>(i),
-                                s->body.end());
-                            execBlock(rest);
-                            handled = true;
-                            break;
-                        }
-                    }
-                    if (!handled) throw;
+        // The checkpointed iteration: its loop-variable stores are
+        // already part of the restored state; finish it from the
+        // recorded position.
+        try {
+            resumeInto(s->body, depth + 1);
+        } catch (GotoSignal& g) {
+            bool handled = false;
+            for (size_t i = 0; i < s->body.size(); ++i) {
+                if (s->body[i]->label == g.label) {
+                    std::vector<Stmt*> rest(
+                        s->body.begin() + static_cast<std::ptrdiff_t>(i),
+                        s->body.end());
+                    execBlock(rest);
+                    handled = true;
+                    break;
                 }
-                continue;
             }
-            oracle_.store().set(s->loopVar, 0, static_cast<double>(iv));
-            soaBroadcast(s->loopVar, 0, static_cast<double>(iv));
-            execLoopBody(s);
+            if (!handled) throw;
         }
+        runIterations(s, f.iv + f.step, f.ub, f.step);
     }
     runCombines(s);
 }
@@ -1209,6 +1322,8 @@ void SpmdSimulator::run() {
     // elements, replicated data is everywhere.
     const ProcGrid& grid = low_.dataMapping().grid();
     const Store& input = oracle_.store();
+    GridSet owners;
+    std::vector<std::int64_t> idx;
     for (const Symbol& sym : prog_.symbols) {
         const ArrayMap& map = low_.dataMapping().mapOf(sym.id);
         if (!sym.isArray()) {
@@ -1216,27 +1331,28 @@ void SpmdSimulator::run() {
             continue;
         }
         // Enumerate elements and place them on their owners.
-        std::vector<std::int64_t> idx(static_cast<size_t>(sym.rank()));
-        std::function<void(int)> rec = [&](int d) {
-            if (d == sym.rank()) {
-                const std::int64_t flat = input.flatten(prog_, sym.id, idx);
-                const std::int64_t row = soaRowOf(sym.id, flat);
-                const double v = input.get(sym.id, flat);
-                const GridSet owners = map.ownerOf(idx, grid);
-                forEachGridProc(owners, grid, coordsScratch_, [&](int p) {
-                    soa_[static_cast<size_t>(row + p)] = v;
-                    soaValid_[static_cast<size_t>(row + p)] = 1;
-                    return true;
-                });
-                return;
+        // Elements in flat (column-major) order: an odometer over the
+        // subscripts, first dimension fastest.
+        const std::int64_t n = input.sizeOf(sym.id);
+        if (n == 0) continue;
+        idx.resize(static_cast<size_t>(sym.rank()));
+        for (int d = 0; d < sym.rank(); ++d)
+            idx[static_cast<size_t>(d)] = sym.dims[static_cast<size_t>(d)].lb;
+        const std::int64_t base = input.elemIndexOf(sym.id, 0);
+        for (std::int64_t elem = base; elem < base + n; ++elem) {
+            const double v = input.dataRaw()[elem];
+            const std::int64_t row = elem * procCount_;
+            map.ownerInto(idx, grid, owners);
+            forEachGridProc(owners, grid, coordsScratch_, [&](int p) {
+                soa_[static_cast<size_t>(row + p)] = v;
+                soaValid_[static_cast<size_t>(row + p)] = 1;
+                return true;
+            });
+            for (size_t d = 0; d < idx.size(); ++d) {
+                if (++idx[d] <= sym.dims[d].ub) break;
+                idx[d] = sym.dims[d].lb;
             }
-            const ArrayDim& dim = sym.dims[static_cast<size_t>(d)];
-            for (std::int64_t v = dim.lb; v <= dim.ub; ++v) {
-                idx[static_cast<size_t>(d)] = v;
-                rec(d + 1);
-            }
-        };
-        rec(0);
+        }
     }
     recoveries_ = 0;
     checkpointsTaken_ = 0;

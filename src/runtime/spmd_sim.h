@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 #include <memory>
 
@@ -127,10 +128,10 @@ public:
     /// per-phase latency histograms (sim.phase.eval_us /
     /// sim.phase.merge_us / sim.checkpoint_us) — histogram references
     /// are resolved here once, so the hot path never does a name
-    /// lookup. Phases are microseconds long, so the eval/merge
-    /// histograms sample 1 in kTelemetrySample phases (clock reads on
-    /// every phase would dominate the phase itself); checkpoints are
-    /// rare and timed unconditionally.
+    /// lookup. A lane-uniform phase costs tens of nanoseconds, about
+    /// one clock read, so the eval/merge histograms sample 1 in
+    /// kTelemetrySample phases; checkpoints are rare and timed
+    /// unconditionally.
     /// `tracer` (nullable) receives one tid-stamped span per
     /// pool worker covering the run, parented under the calling
     /// thread's current context, which gives Chrome traces their
@@ -227,6 +228,13 @@ public:
     [[nodiscard]] std::int64_t statementsExecutedAllProcs() const {
         return procStmts_;
     }
+    /// Proc-statements the loop driver ran: lane-uniform innermost loop
+    /// bodies executed on per-iteration address increments (see
+    /// runLoopKernel). A subset of statementsExecutedAllProcs();
+    /// deterministic and independent of the thread count.
+    [[nodiscard]] std::int64_t loopKernelInstances() const {
+        return loopKernelInstances_;
+    }
 
     /// True when a fault spec armed any part of the recovery layer.
     [[nodiscard]] bool faultLayerActive() const {
@@ -276,6 +284,7 @@ private:
         std::vector<ProcSimMetrics> procMetrics;
         std::int64_t transfers = 0;
         std::int64_t procStmts = 0;
+        std::int64_t loopKernelInstances = 0;
         std::int64_t instances = 0;
         InternedEventSet events;
         std::vector<std::int64_t> eventsPerOp;
@@ -332,11 +341,20 @@ private:
         /// Every lane provably computes the oracle's value — the
         /// statement is not a reduction accumulation and no
         /// fetched symbol is divergent (per-processor copies of every
-        /// read symbol equal the oracle whenever valid). Such phases
-        /// skip the per-lane VM run: misses are recorded for the
-        /// communication accounting, and the oracle's scalar result is
-        /// broadcast to the executors.
+        /// read symbol equal the oracle whenever valid). Such instances
+        /// run the uniform kernel: no per-lane VM run, misses applied
+        /// in place for the communication accounting, and the oracle's
+        /// scalar result broadcast to the executors.
         bool laneUniform = false;
+        /// Do: an innermost loop the loop driver runs (see
+        /// planLoopKernel for the eligibility rules).
+        bool loopKernel = false;
+        /// Assign in a loop-driver body: per fetch slot, then the lhs,
+        /// the coefficient of the loop variable in the element index (0
+        /// for scalars); and whether the singleton executor depends on
+        /// the loop variable.
+        std::vector<std::int64_t> ivCoeff;
+        bool execVaries = false;
     };
 
     /// A fetched-copy store write deferred to the end of the phase.
@@ -369,16 +387,49 @@ private:
     /// execBlock starting at `start` (resume + goto continuation).
     void execBlockFrom(const std::vector<Stmt*>& block, size_t start);
     void execStmt(const Stmt* s);
-    /// Lane-uniform Assign with telemetry, profiler and
-    /// transport all unarmed: the fused fast path. One pass resolves the
-    /// fetch slots, applies any misses in place (same slot-major lane
-    /// order and per-merge event memo as evalPhase + mergeWorkers), runs
-    /// the oracle chunk once and broadcasts the result — no deferred
-    /// record vectors, no second slot walk. Any armed observer falls
-    /// back to the general path, which keeps its sampling ticks; the
-    /// two paths produce identical state, metrics and events.
-    void execUniformBc(const Stmt* s, const StmtPlan& plan,
-                       const std::vector<int>& execs);
+    /// Per-instance accounting every executed Assign/If pays: proc
+    /// statements, guard accounting, and the profiler's instance row.
+    void beginInstance(const Stmt* s, const std::vector<int>& execs);
+    /// The one execution path of a lane-uniform Assign/If instance,
+    /// given each fetch slot's store element index and, for an Assign,
+    /// the lhs element index after them (`elems`). Scans slot validity,
+    /// applies the misses in place (slot-major lane order, row dedup,
+    /// per-merge event memo; every transfer rides the armed transport),
+    /// runs the oracle chunk once and broadcasts an Assign's result to
+    /// the executors. Armed telemetry and the profiler tick their eval
+    /// and merge samplers once per instance. Returns the chunk's value.
+    double uniformKernel(const Stmt* s, const StmtPlan& plan,
+                         const std::vector<int>& execs,
+                         const std::int64_t* elems);
+    /// Apply the misses the last scanSlots found, in place.
+    void applyMisses(const StmtPlan& plan, const std::vector<int>& execs);
+    /// Store `iv` into loop variable of `s` on the oracle and every
+    /// processor.
+    void setLoopVar(const Stmt* s, std::int64_t iv);
+    /// Iterations iv, iv+step, ... up to `ub` of Do statement `s`:
+    /// through the loop driver when the loop is eligible, else one body
+    /// statement at a time.
+    void runIterations(const Stmt* s, std::int64_t iv, std::int64_t ub,
+                       std::int64_t step);
+    /// Loop driver: evaluates every body statement's index forms once
+    /// at loop entry, then advances each element index by its
+    /// per-iteration increment and recomputes a singleton owner only
+    /// when its form depends on the loop variable; every instance runs
+    /// the uniform kernel. Returns false, having executed nothing, when
+    /// the loop has no iterations or an index would leave its array —
+    /// the per-statement path then runs (and reports) it.
+    bool runLoopKernel(const Stmt* s, std::int64_t lb, std::int64_t ub,
+                       std::int64_t step);
+    /// Eligibility of innermost Do `s` for the loop driver: a body of
+    /// unlabelled lane-uniform Assigns guarded All or singleton OwnerOf,
+    /// every slot/lhs/executor index form affine, and no body statement
+    /// assigning the loop variable or any symbol those forms read.
+    /// Fills the body plans' ivCoeff/execVaries when eligible.
+    bool planLoopKernel(const Stmt* s);
+    /// Debug check: the driver's element indices equal the forms
+    /// evaluated on the oracle.
+    bool loopInputsMatch(const Stmt* s, const StmtPlan& plan,
+                         const std::int64_t* elems);
     /// One iteration of Do statement `s`'s body, with the forward-goto
     /// continuation handling.
     void execLoopBody(const Stmt* s);
@@ -399,16 +450,57 @@ private:
     /// reference to a per-instance scratch (or the constant all-procs
     /// set); valid until the next call.
     [[nodiscard]] const std::vector<int>& executorsOf(const Stmt* s);
-    /// Resolve every fetch slot of `plan` for this instance on the
-    /// oracle (flat index, SoA row), pre-resolve each slot some executor
-    /// misses, and flag the slots every executor holds. Returns true
-    /// when no executor misses any slot.
-    bool scanSlots(const StmtPlan& plan, const std::vector<int>& execs);
-    /// The statement's value chunk run once on the oracle's store (slot
-    /// element indices from the last scanSlots).
-    [[nodiscard]] double oracleValue(const StmtPlan& plan);
-    /// Evaluate the statement's chunk on every executor against the
-    /// frozen pre-statement state, filling values_; parallel when the
+    /// Evaluate the index forms of statement `s` on the oracle: flat
+    /// index and store element index of every fetch slot, then of an
+    /// Assign's lhs, into slotFlat_/slotElem_.
+    void resolveSlotIndices(const Stmt* s, const StmtPlan& plan);
+    /// Check every fetch slot (store element indices `elems`) on the
+    /// executors: SoA row, pre-resolve each slot some executor misses,
+    /// and flag the slots every executor holds. Returns true when no
+    /// executor misses any slot.
+    bool scanSlots(const StmtPlan& plan, const std::vector<int>& execs,
+                   const std::int64_t* elems);
+    /// The statement's value chunk run once on the oracle's store.
+    [[nodiscard]] double oracleValue(const StmtPlan& plan,
+                                     const std::int64_t* elems);
+    /// Sampling window of one eval or merge phase for the armed
+    /// observers. startPhase advances the telemetry and profiler ticks
+    /// (so the sample schedule is one per phase whether or not it is
+    /// timed) and reads the clock only for a sampled phase; stop()
+    /// records the elapsed time into whichever sampler chose it.
+    struct PhaseClock {
+        obs::Histogram* hist = nullptr;
+        obs::StmtProfile* prof = nullptr;
+        bool merge = false;
+        std::chrono::steady_clock::time_point t0;
+        void stop() const {
+            if (hist != nullptr || prof != nullptr) record();
+        }
+        void record() const;
+    };
+    [[nodiscard]] PhaseClock startPhase(bool merge) {
+        // Telemetry is opt-in (the histograms are resolved once in
+        // setTelemetry): unarmed runs pay two null checks per phase.
+        // Armed runs sample 1 in kTelemetrySample phases — timing a
+        // phase costs more than the phase. The profiler keeps its own
+        // ticks (checkpointed with the profile), so its sample schedule
+        // is deterministic even across recovery.
+        PhaseClock c;
+        c.merge = merge;
+        obs::Histogram* hist = merge ? mergeHist_ : evalHist_;
+        if (hist != nullptr &&
+            ((merge ? mergeTick_ : evalTick_)++ & (kTelemetrySample - 1)) == 0)
+            c.hist = hist;
+        if (profile_ != nullptr &&
+            (merge ? profile_->sampleMerge() : profile_->sampleEval()))
+            c.prof = profile_.get();
+        if (c.hist != nullptr || c.prof != nullptr)
+            c.t0 = std::chrono::steady_clock::now();
+        return c;
+    }
+    /// Evaluate a divergent statement's chunk on every executor against
+    /// the frozen pre-statement state (slot indices from
+    /// resolveSlotIndices), filling values_; parallel when the
     /// pool is active and the executor set is wide enough. `directSym`
     /// != kNoSymbol (relaxed merge, reduction accumulators only)
     /// additionally writes each executor's result straight to its
@@ -499,6 +591,7 @@ private:
     std::vector<ProcSimMetrics> procMetrics_;
     std::int64_t transfers_ = 0;
     std::int64_t procStmts_ = 0;
+    std::int64_t loopKernelInstances_ = 0;
     double wallSec_ = 0.0;
     InternedEventSet events_;
     std::vector<std::int64_t> eventsPerOp_;  ///< by CommOp::id (dense)
@@ -522,9 +615,10 @@ private:
     std::vector<double> values_;
     std::vector<std::int64_t> ctxScratch_;
     std::vector<WorkerScratch> workers_;
-    /// Per-instance flat index of each fetch slot (resolved once on the
-    /// oracle).
+    /// Per-instance flat index and store element index of each fetch
+    /// slot, then of an Assign's lhs (resolved once on the oracle).
     std::vector<std::int64_t> slotFlat_;
+    std::vector<std::int64_t> slotElem_;
     std::vector<double> oracleRegs_;  ///< scalar VM register scratch
     /// The per-processor state, lane-major. Element e of processor p
     /// lives at [e * procCount + p] (e = Store::elemIndexOf on the
@@ -533,11 +627,9 @@ private:
     /// memset.
     std::vector<double> soa_;
     std::vector<char> soaValid_;
-    /// Per-phase slot scratch: SoA row base / store element index of
-    /// each fetch slot, and the once-per-phase miss memo (resolved
-    /// value + source processor).
+    /// Per-phase slot scratch: SoA row base of each fetch slot, and the
+    /// once-per-phase miss memo (resolved value + source processor).
     std::vector<std::int64_t> slotRow_;
-    std::vector<std::int64_t> slotElem_;
     std::vector<double> slotMissV_;
     std::vector<int> slotMissSrc_;
     std::vector<char> slotMissResolved_;
@@ -568,6 +660,13 @@ private:
     bool phaseClean_ = false;
     /// Relaxed merge: loop-entry accumulator snapshot by CommOp id.
     std::vector<double> combineInit_;
+    /// Loop driver: each body statement's slot and lhs element indices
+    /// at the current iteration (statement after statement, as the
+    /// uniform kernel reads them), their per-iteration increments, and
+    /// each body statement's singleton executor (-1 for guard All).
+    std::vector<std::int64_t> loopElem_;
+    std::vector<std::int64_t> loopElemStep_;
+    std::vector<int> loopOwner_;
 
     // --- current phase (set by evalPhase, read by workers) ---
     const std::vector<int>* phaseExecs_ = nullptr;
@@ -592,8 +691,10 @@ private:
 
     // --- telemetry (all null when not opted in via setTelemetry) ---
     /// 1-in-N phase sampling for the eval/merge histograms (power of
-    /// two; the armed-but-idle overhead budget is <2% of the run).
-    static constexpr std::uint32_t kTelemetrySample = 64;
+    /// two; the armed-but-idle overhead budget is <2% of the run: at
+    /// 1-in-64 the two clock reads and atomic histogram updates of a
+    /// sample cost ~5% of a TOMCATV run).
+    static constexpr std::uint32_t kTelemetrySample = 1024;
     std::uint32_t evalTick_ = 0;
     std::uint32_t mergeTick_ = 0;
     obs::MetricRegistry* metrics_ = nullptr;

@@ -10,9 +10,11 @@
 // record per case, keyed "[case]". The records were generated with the
 // tree-walking and bytecode engines side by side, which agreed on every
 // record at 1, 2 and 4 lockstep threads; the remaining engine is held to
-// them by test_vm.cpp. Regenerating means running each case through
-// recordOf() and pasting the blocks into the file — a change to any
-// record is a change to simulated results or metrics.
+// them by test_vm.cpp. tests/golden/loop_kernel.txt holds the records
+// of loopEdges(), the loop driver's edge cases, made before the driver
+// existed. Regenerating means running each case through recordOf() and
+// pasting the blocks into the file — a change to any record is a change
+// to simulated results or metrics.
 
 #include <cstdint>
 #include <cstdio>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "driver/compiler.h"
+#include "ir/builder.h"
 #include "programs/programs.h"
 
 namespace phpf::golden {
@@ -115,6 +118,173 @@ inline std::vector<SimCase> kernels() {
                   {4}, {}, false, [](Interpreter& o) { seedRsd(o, 6); },
                   {"rsd"}});
     return ks;
+}
+
+/// Deterministic non-trivial values for every element of `names`.
+inline void seedRamp(Interpreter& o, const Program& p,
+                     const std::vector<std::string>& names) {
+    for (const std::string& name : names) {
+        const SymbolId s = p.findSymbol(name);
+        Store& st = o.store();
+        for (std::int64_t f = 0; f < st.sizeOf(s); ++f)
+            st.set(s, f, 0.5 + static_cast<double>((f * 7 + 3) % 11));
+    }
+}
+
+constexpr std::int64_t kEdgeN = 32;
+
+/// Scalars assigned in a loop body and read as subscripts there: an
+/// induction scalar `m` stepped each iteration (fig1's pattern), and a
+/// scalar `k` loaded from an index array.
+inline Program loopInduction() {
+    const std::int64_t n = kEdgeN;
+    ProgramBuilder b("loop_induction");
+    auto A = b.realArray("A", {n});
+    auto D = b.realArray("D", {2 * n + 1});
+    auto P = b.integerArray("P", {n});
+    auto m = b.integerVar("m");
+    auto k = b.integerVar("k");
+    auto i = b.integerVar("i");
+    b.distribute(A, {{DistKind::Block, 0}});
+    b.distribute(D, {{DistKind::Block, 0}});
+    b.assign(b.idx(m), b.lit(std::int64_t{1}));
+    b.doLoop(i, b.lit(std::int64_t{1}), b.lit(n), [&] {
+        b.assign(b.idx(m), b.idx(m) + b.lit(std::int64_t{2}));
+        b.assign(b.ref(D, {b.idx(m)}), b.ref(A, {b.idx(i)}) * b.lit(2.0));
+    });
+    // k enters the loop holding an in-range subscript, so only the
+    // assigned-symbol rule keeps the loop off the driver.
+    b.assign(b.idx(k), b.lit(std::int64_t{1}));
+    b.doLoop(i, b.lit(std::int64_t{1}), b.lit(n), [&] {
+        b.assign(b.idx(k), b.ref(P, {b.idx(i)}));
+        b.assign(b.ref(D, {b.idx(k)}), b.ref(A, {b.idx(i)}) + b.lit(1.0));
+    });
+    return b.finish();
+}
+
+/// loopInduction's inputs; P holds in-range subscripts of D.
+inline void seedInduction(Interpreter& o) {
+    for (std::int64_t i = 1; i <= kEdgeN; ++i) {
+        o.setElement("A", {i}, 0.5 + static_cast<double>(i % 7));
+        o.setElement("P", {i},
+                     static_cast<double>(1 + (i * 5) % (2 * kEdgeN + 1)));
+    }
+}
+
+/// Loop bounds: a negative-step loop, a zero-trip loop, a stride-3 loop
+/// whose last iteration stops short of its bound, the loop variables'
+/// values after the loops read back, and the loop variable read as a
+/// value inside a body.
+inline Program loopBounds() {
+    const std::int64_t n = kEdgeN;
+    ProgramBuilder b("loop_bounds");
+    auto A = b.realArray("A", {n});
+    auto B = b.realArray("B", {n});
+    auto s = b.realVar("s");
+    auto i = b.integerVar("i");
+    auto j = b.integerVar("j");
+    b.distribute(A, {{DistKind::Block, 0}});
+    b.alignIdentity(B, A);
+    const auto one = b.lit(std::int64_t{1});
+    b.assign(b.idx(j), b.lit(std::int64_t{3}));
+    b.doLoop(i, b.lit(n), one, b.lit(std::int64_t{-1}), [&] {
+        b.assign(b.ref(B, {b.idx(i)}),
+                 b.ref(A, {b.idx(i)}) + b.ref(A, {b.lit(n + 1) - b.idx(i)}));
+    });
+    b.doLoop(j, b.lit(std::int64_t{5}), b.lit(std::int64_t{4}), [&] {
+        b.assign(b.ref(B, {b.idx(j)}), b.lit(0.0));
+    });
+    b.doLoop(i, one, b.lit(n - 2), b.lit(std::int64_t{3}), [&] {
+        b.assign(b.ref(A, {b.idx(i)}), b.ref(B, {b.idx(i) + one}) * b.idx(i));
+    });
+    b.assign(b.idx(s), b.idx(i) + b.idx(j));
+    b.assign(b.ref(B, {one}), b.idx(s));
+    return b.finish();
+}
+
+/// Loops the driver must leave to the per-statement path: an IF in the
+/// body, a GOTO to a labelled CONTINUE, an outer loop around an
+/// eligible inner one, and a privatized unaligned scalar (Union guard).
+inline Program loopFallbacks() {
+    const std::int64_t n = kEdgeN;
+    ProgramBuilder b("loop_fallbacks");
+    auto A = b.realArray("A", {n});
+    auto B = b.realArray("B", {n});
+    auto C = b.realArray("C", {8, n});
+    auto E = b.realArray("E", {n});
+    auto z = b.realVar("z");
+    auto i = b.integerVar("i");
+    auto j = b.integerVar("j");
+    b.distribute(A, {{DistKind::Block, 0}});
+    b.alignIdentity(B, A);
+    b.distribute(C, {{DistKind::Serial, 0}, {DistKind::Block, 0}});
+    b.align(E, A, {{AlignDim::Kind::Replicate, -1, 0, 0}});
+    const auto one = b.lit(std::int64_t{1});
+    b.doLoop(i, one, b.lit(n), [&] {
+        b.ifStmt(b.ref(A, {b.idx(i)}) > b.lit(4.0), [&] {
+            b.assign(b.ref(B, {b.idx(i)}), b.ref(A, {b.idx(i)}) * b.lit(0.5));
+        });
+    });
+    b.doLoop(i, one, b.lit(n), [&] {
+        b.ifStmt(b.ref(B, {b.idx(i)}) < b.lit(2.0),
+                 [&] { b.gotoStmt(10); });
+        b.assign(b.ref(A, {b.idx(i)}), b.ref(B, {b.idx(i)}) + b.lit(1.0));
+        b.continueStmt(10);
+    });
+    b.doLoop(j, one, b.lit(n), [&] {
+        b.doLoop(i, one, b.lit(std::int64_t{8}), [&] {
+            b.assign(b.ref(C, {b.idx(i), b.idx(j)}),
+                     b.ref(C, {b.idx(i), b.idx(j)}) + b.ref(A, {b.idx(j)}));
+        });
+    });
+    b.doLoop(i, one, b.lit(n), [&] {
+        b.assign(b.idx(z), b.ref(E, {b.idx(i)}) * b.lit(2.0));
+        b.assign(b.ref(B, {b.idx(i)}), b.idx(z) + b.ref(A, {b.idx(i)}));
+    });
+    return b.finish();
+}
+
+/// An owner-computes lhs replicated along one grid dimension: the
+/// executor set is a grid row, not one processor.
+inline Program loopReplicatedOwner() {
+    const std::int64_t n = 16;
+    ProgramBuilder b("loop_replicated_owner");
+    auto A = b.realArray("A", {n, n});
+    auto R = b.realArray("R", {n});
+    auto Q = b.realArray("Q", {n});
+    auto i = b.integerVar("i");
+    b.distribute(A, {{DistKind::Block, 0}, {DistKind::Block, 0}});
+    for (const SymbolId v : {R, Q})
+        b.align(v, A, {{AlignDim::Kind::SourceDim, 0, 0, 0},
+                       {AlignDim::Kind::Replicate, -1, 0, 0}});
+    b.doLoop(i, b.lit(std::int64_t{1}), b.lit(n), [&] {
+        b.assign(b.ref(R, {b.idx(i)}),
+                 b.ref(A, {b.idx(i), b.idx(i)}) * b.lit(2.0));
+        b.assign(b.ref(Q, {b.idx(i)}), b.ref(R, {b.idx(i)}) + b.lit(1.0));
+    });
+    return b.finish();
+}
+
+/// The loop-driver edge cases (tests/golden/loop_kernel.txt).
+inline std::vector<SimCase> loopEdges() {
+    std::vector<SimCase> cs;
+    const auto seeded = [](std::function<Program()> build,
+                           std::vector<std::string> arrays) {
+        return [build, arrays](Interpreter& o) {
+            seedRamp(o, build(), arrays);
+        };
+    };
+    cs.push_back({"loop/induction", loopInduction, {4}, {}, false,
+                  seedInduction, {"D"}});
+    cs.push_back({"loop/bounds", loopBounds, {4}, {}, false,
+                  seeded(loopBounds, {"A", "B"}), {"A", "B"}});
+    cs.push_back({"loop/fallbacks", loopFallbacks, {4}, {}, false,
+                  seeded(loopFallbacks, {"A", "B", "C", "E"}),
+                  {"A", "B", "C"}});
+    cs.push_back({"loop/replicated-owner", loopReplicatedOwner, {2, 2}, {},
+                  false, seeded(loopReplicatedOwner, {"A", "R", "Q"}),
+                  {"R", "Q"}});
+    return cs;
 }
 
 /// The compiler levels of the Table 1-3 benches, at small sizes.

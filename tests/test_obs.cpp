@@ -286,6 +286,9 @@ TEST(ObsReport, RunReportRoundTripsThroughJson) {
     for (const obs::Json& pp : sim_j.at("per_proc").items())
         stmts += pp.at("stmts_executed").intValue();
     EXPECT_EQ(stmts, sim_j.at("statements_executed_all_procs").intValue());
+    // The loop driver's proc-statements are a subset of all of them.
+    EXPECT_GE(sim_j.at("loop_kernel_instances").intValue(), 0);
+    EXPECT_LE(sim_j.at("loop_kernel_instances").intValue(), stmts);
     EXPECT_EQ(sim_j.at("bytes_moved").intValue(),
               sim_j.at("element_transfers").intValue() *
                   sim_j.at("elem_bytes").intValue());

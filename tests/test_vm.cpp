@@ -161,12 +161,17 @@ TEST(IndexForm, AffineFormsMatchSubscriptTrees) {
 // compiler level at 1/2/4 lockstep threads, with the profiler armed,
 // and under checkpoint/crash replay — plus oracle error 0 throughout.
 
+/// Every golden block: tests/golden/spmd_sim.txt, plus the loop-driver
+/// edge cases in tests/golden/loop_kernel.txt (keys "loop/...").
 const std::map<std::string, std::string>& goldens() {
     static const std::map<std::string, std::string> g = [] {
-        std::ifstream in(PHPF_GOLDEN_DIR "/spmd_sim.txt");
-        EXPECT_TRUE(in.good()) << "cannot read " PHPF_GOLDEN_DIR
-                                  "/spmd_sim.txt";
-        return golden::parseGoldens(in);
+        std::map<std::string, std::string> all;
+        for (const char* file : {"/spmd_sim.txt", "/loop_kernel.txt"}) {
+            std::ifstream in(std::string(PHPF_GOLDEN_DIR) + file);
+            EXPECT_TRUE(in.good()) << "cannot read " PHPF_GOLDEN_DIR << file;
+            all.merge(golden::parseGoldens(in));
+        }
+        return all;
     }();
     return g;
 }
@@ -217,31 +222,34 @@ TEST(VmDifferential, ProfilerCountsIdenticalAcrossEngines) {
         expectGoldenAcrossThreads(k, /*profile=*/true);
 }
 
-TEST(VmDifferential, CrashReplayBitIdenticalOnEitherEngine) {
-    for (const char* which : {"tomcatv", "dgefa"}) {
-        const golden::SimCase k = kernelNamed(which);
-        Program p = k.build();
-        const Compilation c = k.compile(p);
-        for (const int threads : {1, 4}) {
-            SCOPED_TRACE(std::string(which) + " threads=" +
-                         std::to_string(threads));
-            FaultInjector inj;
-            ASSERT_TRUE(inj.configure("proc.crash:nth=17;limit=3"));
-            auto sim = c.simulate({.threads = threads,
-                                   .seed = k.seed,
-                                   .faults = &inj,
-                                   .checkpointEvery = 10});
-            EXPECT_GT(sim->recoveries(), 0);
-            EXPECT_GT(sim->checkpointsTaken(), 1);
-            // The recovered run is the fault-free run, bit for bit...
-            expectGolden(k, c, *sim, k.id);
-            // ...after the recorded number of restores.
-            expectGolden(k, c, *sim, k.id + "/crash",
-                         "recoveries " + std::to_string(sim->recoveries()) +
-                             "\ncheckpoints " +
-                             std::to_string(sim->checkpointsTaken()) + "\n");
-        }
+/// Runs `k` under proc.crash:nth=17;limit=3 with a checkpoint every 10
+/// instances at 1 and 4 threads against its plain and /crash goldens.
+void expectCrashReplayGolden(const golden::SimCase& k) {
+    Program p = k.build();
+    const Compilation c = k.compile(p);
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE(k.id + " threads=" + std::to_string(threads));
+        FaultInjector inj;
+        ASSERT_TRUE(inj.configure("proc.crash:nth=17;limit=3"));
+        auto sim = c.simulate({.threads = threads,
+                               .seed = k.seed,
+                               .faults = &inj,
+                               .checkpointEvery = 10});
+        EXPECT_GT(sim->recoveries(), 0);
+        EXPECT_GT(sim->checkpointsTaken(), 1);
+        // The recovered run is the fault-free run, bit for bit...
+        expectGolden(k, c, *sim, k.id);
+        // ...after the recorded number of restores.
+        expectGolden(k, c, *sim, k.id + "/crash",
+                     "recoveries " + std::to_string(sim->recoveries()) +
+                         "\ncheckpoints " +
+                         std::to_string(sim->checkpointsTaken()) + "\n");
     }
+}
+
+TEST(VmDifferential, CrashReplayBitIdenticalOnEitherEngine) {
+    for (const char* which : {"tomcatv", "dgefa"})
+        expectCrashReplayGolden(kernelNamed(which));
 }
 
 TEST(VmDifferential, NanInTheOracleCountsAsAMismatch) {
@@ -258,6 +266,118 @@ TEST(VmDifferential, NanInTheOracleCountsAsAMismatch) {
     sim->oracle().store().set(a, flat, std::nan(""));
     EXPECT_NE(sim->maxErrorVsOracle("A"), 0.0);
     EXPECT_TRUE(std::isinf(sim->maxErrorVsOracle("A")));
+}
+
+// =====================================================================
+// Loop driver: lane-uniform innermost loops run on per-iteration
+// element-index increments (SpmdSimulator::runLoopKernel). The edge
+// cases' golden records (tests/golden/loop_kernel.txt) were recorded
+// before the driver existed, so a driver loop and the per-statement path
+// it replaces must leave identical state, metrics and profiles.
+
+TEST(LoopKernel, EdgeCasesMatchGoldensAcrossThreads) {
+    for (const golden::SimCase& k : golden::loopEdges())
+        expectGoldenAcrossThreads(k, /*profile=*/false);
+}
+
+TEST(LoopKernel, EdgeCasesProfiledMatchGoldens) {
+    for (const golden::SimCase& k : golden::loopEdges())
+        expectGoldenAcrossThreads(k, /*profile=*/true);
+}
+
+TEST(LoopKernel, EdgeCasesCrashReplayMatchGoldens) {
+    for (const golden::SimCase& k : golden::loopEdges())
+        expectCrashReplayGolden(k);
+}
+
+TEST(LoopKernel, DriverRunsExactlyTheEligibleLoops) {
+    const std::map<std::string, std::int64_t> expected = {
+        // m's update is Union-guarded (a privatized induction scalar);
+        // k is assigned in the body and read by D(k)'s subscript.
+        {"loop/induction", 0},
+        // The step -1 loop (32 iterations) and the stride-3 loop
+        // (1, 4, ..., 28); the zero-trip loop runs nothing.
+        {"loop/bounds", 32 + 10},
+        // Only the inner loop of the nest (8 x 32 single-owner
+        // instances); the IF, GOTO and Union bodies fall back.
+        {"loop/fallbacks", 8 * 32},
+        // The executor set of R(i) and Q(i) is a grid row.
+        {"loop/replicated-owner", 0},
+    };
+    for (const golden::SimCase& k : golden::loopEdges()) {
+        Program p = k.build();
+        const Compilation c = k.compile(p);
+        for (const int threads : {1, 4}) {
+            auto sim = c.simulate({.threads = threads, .seed = k.seed});
+            EXPECT_EQ(sim->loopKernelInstances(), expected.at(k.id))
+                << k.id << " threads=" << threads;
+        }
+    }
+}
+
+TEST(LoopKernel, LoopVariablesKeepTheirLastIterationValue) {
+    // loop/bounds: i's last iteration is 28 (stride 3 up to 30); the
+    // zero-trip j loop leaves j at the 3 it held before.
+    golden::SimCase k;
+    for (const golden::SimCase& e : golden::loopEdges())
+        if (e.id == "loop/bounds") k = e;
+    Program p = k.build();
+    const Compilation c = k.compile(p);
+    auto sim = c.simulate({.threads = 1, .seed = k.seed});
+    ASSERT_EQ(sim->loopKernelInstances(), 42);
+    const Program& prog = c.program();
+    EXPECT_EQ(sim->oracle().store().get(prog.findSymbol("i")), 28.0);
+    EXPECT_EQ(sim->oracle().store().get(prog.findSymbol("j")), 3.0);
+    for (int proc = 0; proc < sim->procCount(); ++proc) {
+        EXPECT_TRUE(sim->validOn(proc, "i"));
+        EXPECT_EQ(sim->valueOn(proc, "i"), 28.0);
+        EXPECT_EQ(sim->valueOn(proc, "j"), 3.0);
+    }
+}
+
+TEST(LoopKernel, PaperKernelsRunThroughTheDriver) {
+    // The benchmark's configurations: TOMCATV n=128 (2 iterations) and
+    // DGEFA n=112, 16 processors, paper mappings.
+    TargetConfig opts;
+    opts.gridExtents = {16};
+    {
+        const std::int64_t n = 128;
+        Program p = programs::tomcatv(n, 2);
+        const Compilation c = Compiler::compile(p, opts);
+        auto sim = c.simulate({.threads = 4, .seed = [&](Interpreter& o) {
+            for (std::int64_t i = 1; i <= n; ++i)
+                for (std::int64_t j = 1; j <= n; ++j) {
+                    o.setElement("x", {i, j},
+                                 static_cast<double>(i) +
+                                     0.1 * static_cast<double>(j));
+                    o.setElement("y", {i, j},
+                                 static_cast<double>(j) -
+                                     0.05 * static_cast<double>(i));
+                }
+        }});
+        EXPECT_EQ(sim->statementsExecutedAllProcs(), 349272);
+        EXPECT_EQ(sim->loopKernelInstances(),
+                  sim->statementsExecutedAllProcs());
+        EXPECT_EQ(sim->maxErrorVsOracle("x"), 0.0);
+        EXPECT_EQ(sim->maxErrorVsOracle("y"), 0.0);
+    }
+    {
+        const std::int64_t n = 112;
+        Program p = programs::dgefa(n);
+        const Compilation c = Compiler::compile(p, opts);
+        auto sim = c.simulate({.threads = 4, .seed = [&](Interpreter& o) {
+            for (std::int64_t r = 1; r <= n; ++r)
+                for (std::int64_t col = 1; col <= n; ++col)
+                    o.setElement("A", {r, col},
+                                 r == col ? 10.0 + static_cast<double>(r)
+                                          : 1.0 / static_cast<double>(r + col));
+        }});
+        EXPECT_EQ(sim->statementsExecutedAllProcs(), 494024);
+        // Everything but the pivot search, swap and reduction statements.
+        EXPECT_GE(sim->loopKernelInstances() * 100,
+                  sim->statementsExecutedAllProcs() * 98);
+        EXPECT_EQ(sim->maxErrorVsOracle("A"), 0.0);
+    }
 }
 
 // =====================================================================
