@@ -40,7 +40,8 @@ constexpr std::int64_t kN = 33;
 constexpr std::int64_t kIters = 2;
 
 // Triggers no run of this size ever reaches: the sites are polled
-// (mutex + counter per statement boundary / transfer) but never fire.
+// (one atomic increment per statement boundary / transfer) but never
+// fire.
 constexpr const char* kIdleSpec =
     "net.drop:nth=1000000000,proc.crash:nth=1000000000";
 

@@ -2,10 +2,9 @@
 // relative to the sequential reference Interpreter.
 //
 // Workload: TOMCATV under the Replication compiler level on 16
-// simulated processors, single lockstep thread — the configuration
-// where per-element expression evaluation dominates, so the table
-// isolates the engine itself rather than thread scaling (see
-// bench_sim_scaling for that axis).
+// simulated processors — the configuration where per-element
+// expression evaluation dominates, so the table isolates the engine
+// itself.
 //
 // Three measured configurations, interleaved best-of-5 in one process:
 //   - strict   the simulator, strict merge: wall / proc-statement
@@ -73,8 +72,7 @@ struct SimResult {
 };
 
 SimResult runSim(Compilation& c, bool relaxed) {
-    auto sim = c.simulate(
-        {.threads = 1, .seed = seedTomcatv, .relaxedMerge = relaxed});
+    auto sim = c.simulate({.seed = seedTomcatv, .relaxedMerge = relaxed});
     SimResult r;
     r.wall = sim->wallSec();
     r.transfers = sim->elementTransfers();

@@ -9,7 +9,7 @@
 //   disabled — no MetricRegistry, a disabled Tracer, flight recorder
 //              off: the cheapest run simulate() can make
 //   armed    — a live MetricRegistry (per-phase histograms), a live
-//              Tracer (simulate/sim-exec and per-worker spans), and
+//              Tracer (simulate and sim-exec spans), and
 //              the global flight recorder enabled but with nothing
 //              firing into it beyond the simulator's own checkpoint
 //              events

@@ -2,7 +2,7 @@
 //
 //   phpfc FILE.hpf [--procs NxM] [--report] [--lower] [--cost]
 //         [--report=FILE.json] [--trace=FILE.json] [--no-sim]
-//         [--sim-threads=N] [--faults=SPEC] [--retry=N]
+//         [--faults=SPEC] [--retry=N]
 //         [--checkpoint-every=N] [--serve-metrics=PORT]
 //         [--flight-recorder=FILE.jsonl]
 //         [--profile] [--profile-folded=FILE.folded]
@@ -154,8 +154,6 @@ void usage() {
                  "[--cost] [--spmd]\n"
                  "             [--report=FILE.json] [--trace=FILE.json] "
                  "[--no-sim]\n"
-                 "             [--sim-threads=N]  (0 = auto: "
-                 "PHPF_SIM_THREADS, else hardware)\n"
                  "             [--target=mp|shm]  (mp = SP2 message "
                  "passing, default;\n"
                  "              shm = shared-memory OpenMP-style SMP)\n"
@@ -394,7 +392,6 @@ int main(int argc, char** argv) {
     std::vector<int> grid{4};
     bool doReport = false, doLower = false, doCost = false, doSpmd = false;
     bool runSim = true;
-    int simThreads = 0;
     // Every which-implementation choice funnels through the one
     // enum-backed selection block (driver/options.h).
     ExecSelection selection;
@@ -469,8 +466,6 @@ int main(int argc, char** argv) {
         else if (startsWith(arg, "--trace-sample="))
             traceSample = intFlag(arg, 15);
         else if (arg == "--no-sim") runSim = false;
-        else if (startsWith(arg, "--sim-threads="))
-            simThreads = intFlag(arg, 14);
         else if (startsWith(arg, "--target=")) {
             if (!parseExecSelection("target", arg.substr(9), &selection)) {
                 std::fprintf(stderr, "phpfc: bad --target '%s' (want mp|shm)\n",
@@ -540,8 +535,8 @@ int main(int argc, char** argv) {
     }
 
     // One tracer covers the whole run: the front end, the compiler
-    // passes, the simulation and its pool workers (recorded from their
-    // own threads) share one timeline, for the report and the trace.
+    // passes and the simulation share one timeline, for the report and
+    // the trace.
     obs::MetricRegistry runMetrics;
     auto tracer = std::make_shared<obs::Tracer>();
     DiagEngine diags;
@@ -574,7 +569,6 @@ int main(int argc, char** argv) {
     target.gridExtents = grid;
     PassOptions passes;
     passes.mapping = mapping;
-    passes.simThreads = simThreads;
     selection.applyTo(&target, &passes);
     CompileSession session;
     session.tracer = tracer;
@@ -596,8 +590,8 @@ int main(int argc, char** argv) {
     // The JSON report and the exposition endpoint carry per-processor
     // metrics only when the functional simulation runs (zero-seeded
     // inputs; message and guard accounting do not depend on values).
-    // The Chrome trace needs the run too: the per-worker thread rows
-    // are recorded by the simulator's pool from their own threads.
+    // The Chrome trace needs the run too: it carries the simulate and
+    // sim-exec spans.
     std::unique_ptr<SpmdSimulator> sim;
     const bool wantSim =
         runSim && (!reportFile.empty() || !traceFile.empty() ||

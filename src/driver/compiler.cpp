@@ -12,7 +12,6 @@ std::unique_ptr<SpmdSimulator> Compilation::simulate(
     const SimulationRequest& req) const {
     obs::Tracer* tr = req.tracer != nullptr ? req.tracer : tracer_.get();
     obs::ScopedSpan span(tr, "simulate", "sim");
-    const int threads = req.threads >= 0 ? req.threads : passes_.simThreads;
     const int elemBytes =
         req.elemBytes > 0 ? req.elemBytes : target_.costModel.elemBytes;
     SimRecoveryConfig recovery;
@@ -22,19 +21,15 @@ std::unique_ptr<SpmdSimulator> Compilation::simulate(
     if (req.maxRecoveries > 0) recovery.maxRecoveries = req.maxRecoveries;
     recovery.cancel = req.cancel;
     const bool relaxed = req.relaxedMerge.value_or(passes_.relaxedMerge);
-    auto sim = std::make_unique<SpmdSimulator>(*lowering_, elemBytes, threads,
+    auto sim = std::make_unique<SpmdSimulator>(*lowering_, elemBytes, 1,
                                                std::move(recovery),
                                                SimEngine::Bytecode, relaxed,
                                                target_.targetKind);
-    sim->setTelemetry(req.metrics, tr);
+    sim->setTelemetry(req.metrics);
     if (req.profile) sim->enableProfiling();
     if (req.seed) req.seed(sim->oracle());
-    // The simulator's per-worker spans parent under the calling
-    // thread's context, so they nest under this sim-exec span. RAII:
-    // closes even when run() throws a SimFault.
-    const std::string execName =
-        "sim-exec[" + std::to_string(sim->threads()) + "t]";
-    obs::ScopedSpan exec(tr, execName.c_str(), "sim");
+    // RAII: closes even when run() throws a SimFault.
+    obs::ScopedSpan exec(tr, "sim-exec", "sim");
     sim->run();
     return sim;
 }

@@ -23,21 +23,16 @@ namespace phpf {
 /// configuration, so `c.simulate({})` behaves like the old no-argument
 /// overload.
 struct SimulationRequest {
-    /// Lockstep worker threads: -1 inherits the compilation's
-    /// PassOptions::simThreads; 0 means auto (PHPF_SIM_THREADS, else
-    /// hardware concurrency). Results and metrics are independent of
-    /// the value.
-    int threads = -1;
     /// Element size for byte accounting: 0 inherits the compilation's
     /// CostModel::elemBytes.
     int elemBytes = 0;
     /// Seeds the simulator's sequential oracle before the run (input
     /// arrays default to zero otherwise).
     std::function<void(Interpreter&)> seed = {};
-    /// Span destination for the simulate and sim-exec spans and the
-    /// per-worker sim-worker rows under them. When null, spans go to
-    /// the compilation's own tracer; pass a per-request tracer to keep
-    /// a shared (cached) Compilation's timeline to its own compile.
+    /// Span destination for the simulate and sim-exec spans. When
+    /// null, spans go to the compilation's own tracer; pass a
+    /// per-request tracer to keep a shared (cached) Compilation's
+    /// timeline to its own compile.
     obs::Tracer* tracer = nullptr;
     /// Fault source for the simulator's recovery layer (lossy-network
     /// transport, proc-crash restarts). Null disables injection; the

@@ -37,19 +37,12 @@ struct TargetConfig {
 };
 
 /// What the pipeline DOES: the privatization/mapping variant, induction
-/// rewriting, and the simulator's default thread count. `simThreads`
-/// affects only how fast the functional simulation runs, never any
-/// result or metric, so cache keys ignore it.
+/// rewriting, and the simulator's merge mode.
 struct PassOptions {
     MappingOptions mapping;
     /// Closed-form rewriting of induction variables (Section 2.1). The
     /// phpf compiler always does this; exposed for ablation.
     bool rewriteInduction = true;
-    /// Lockstep worker threads for the SPMD simulator: 0 = auto
-    /// (PHPF_SIM_THREADS environment variable, else hardware
-    /// concurrency). Simulation results and metrics are independent of
-    /// the value.
-    int simThreads = 0;
     /// Unused; see runtime/engine.h.
     SimEngine simEngine = SimEngine::Bytecode;
     /// Relaxed reduction-merge mode: commutative reduction combines

@@ -25,7 +25,7 @@ namespace phpf::obs {
 /// "Measured" is *re-costed* from the simulator's exact, deterministic
 /// counters (events, element transfers, per-proc statement executions)
 /// through the same CostModel primitives — never wall time — so every
-/// calibration row is bit-identical across sim-thread counts, across
+/// calibration row is bit-identical across runs, across
 /// cold/warm service cache hits, and across machines. That is what lets
 /// the model-error MAPE be committed as a bench baseline and
 /// regression-gated in CI.

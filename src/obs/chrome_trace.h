@@ -11,7 +11,7 @@ namespace phpf::obs {
 /// format (loadable in chrome://tracing and Perfetto). Each recording
 /// thread becomes its own named row: a thread_name metadata ("M") event
 /// per registered tid (names from the process thread registry, e.g.
-/// "sim-worker-2"), and every span is a complete ("X") event on its
+/// "svc-worker-2"), and every span is a complete ("X") event on its
 /// real tid with its span id and parent id in args, so cross-thread
 /// parenting survives the export. Still-open spans end at the tracer's
 /// current time. `processName` labels this process's pid row.

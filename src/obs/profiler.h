@@ -19,12 +19,11 @@ namespace phpf::obs {
 ///
 /// Counts (instances, per-proc statement executions, element transfers,
 /// message events) are exact and — like every simulator metric —
-/// bit-identical across lockstep worker-thread counts: they are bumped
-/// on the main thread at statement boundaries and merge barriers, in
-/// deterministic order. Wall time is 1-in-kSampleEvery sampled (timing
-/// every phase would dominate it); the sample *counts* are deterministic
-/// (the tick sequence advances once per phase regardless of threads),
-/// the sampled durations are host-dependent.
+/// deterministic: they are bumped at statement boundaries and as misses
+/// are applied, in a fixed order. Wall time is 1-in-kSampleEvery sampled
+/// (timing every phase would dominate it); the sample *counts* are
+/// deterministic (the tick sequence advances once per phase), the
+/// sampled durations are host-dependent.
 ///
 /// The object is a plain copyable value: the simulator checkpoints it
 /// with the rest of its state, so a crash-recovered run reproduces the

@@ -79,15 +79,12 @@ private:
 
 }  // namespace
 
-SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
-                             int threads, SimRecoveryConfig recovery,
-                             SimEngine, bool relaxedMerge,
-                             TargetKind targetKind)
+SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes, int,
+                             SimRecoveryConfig recovery, SimEngine,
+                             bool relaxedMerge, TargetKind targetKind)
     : low_(low), prog_(low.program()), oracle_(prog_),
       procCount_(low.dataMapping().grid().totalProcs()),
-      elemBytes_(elemBytes),
-      threads_(resolveThreadCount(threads, procCount_)),
-      relaxed_(relaxedMerge), targetKind_(targetKind) {
+      elemBytes_(elemBytes), relaxed_(relaxedMerge), targetKind_(targetKind) {
     rcfg_ = std::move(recovery);
     if (rcfg_.faults != nullptr && rcfg_.faults->enabled()) {
         const FaultInjector& inj = *rcfg_.faults;
@@ -106,9 +103,6 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
     boundaryArmed_ = trackCtrl_ || rcfg_.cancel.armed();
     procMetrics_.assign(static_cast<size_t>(procCount_), ProcSimMetrics{});
     execDelta_.assign(static_cast<size_t>(procCount_), 0);
-    if (threads_ > 1)
-        pool_ = std::make_unique<LockstepPool>(threads_, "sim-worker");
-    workers_.resize(static_cast<size_t>(threads_));
 
     allProcs_.resize(static_cast<size_t>(procCount_));
     std::iota(allProcs_.begin(), allProcs_.end(), 0);
@@ -144,25 +138,19 @@ SpmdSimulator::SpmdSimulator(const SpmdLowering& low, int elemBytes,
     slotRow_.assign(maxSlots, 0);
     slotMissV_.assign(maxSlots, 0.0);
     slotMissSrc_.assign(maxSlots, -1);
-    slotMissResolved_.assign(maxSlots, 0);
     slotAllValid_.assign(maxSlots, 0);
     const size_t lanes = static_cast<size_t>(procCount_) *
                          static_cast<size_t>(oracle_.store().totalElems());
     soa_.assign(lanes, 0.0);
     soaValid_.assign(lanes, 0);
     oracleRegs_.assign(static_cast<size_t>(std::max(maxRegs_, 1)), 0.0);
-    // SoA lane banks: one bank of procCount doubles per register, per
-    // worker (a worker's lane chunk never exceeds procCount).
-    for (WorkerScratch& w : workers_)
-        w.regs.assign(static_cast<size_t>(std::max(maxRegs_, 1)) *
-                          static_cast<size_t>(procCount_),
-                      0.0);
+    // SoA lane banks: one bank of procCount doubles per register.
+    laneRegs_.assign(static_cast<size_t>(std::max(maxRegs_, 1)) *
+                         static_cast<size_t>(procCount_),
+                     0.0);
 }
 
-void SpmdSimulator::setTelemetry(obs::MetricRegistry* metrics,
-                                 obs::Tracer* tracer) {
-    metrics_ = metrics;
-    tracer_ = tracer;
+void SpmdSimulator::setTelemetry(obs::MetricRegistry* metrics) {
     evalHist_ =
         metrics != nullptr ? &metrics->histogram("sim.phase.eval_us") : nullptr;
     mergeHist_ = metrics != nullptr ? &metrics->histogram("sim.phase.merge_us")
@@ -460,63 +448,6 @@ void SpmdSimulator::noteEvent(const CommOp* op) {
     }
 }
 
-void SpmdSimulator::runLanesInto(WorkerScratch& w, const StmtPlan& plan,
-                                 const std::vector<int>& execs, std::int64_t b,
-                                 std::int64_t e) {
-    const bc::StmtCode& code = plan.code;
-    const int lanes = static_cast<int>(e - b);
-    if (lanes <= 0) return;
-    const int* lp = execs.data() + b;
-    const std::int64_t* rows = slotRow_.data();
-    const double* soa = soa_.data();
-    const char* soaValid = soaValid_.data();
-    const char* allValid = slotAllValid_.data();
-    // Dense lane sets (guard All) index procs 0..P-1 in order, so a
-    // fully-valid slot row is one contiguous copy.
-    const bool dense = &execs == &allProcs_;
-    vm::runLanes(
-        code.value, lanes, w.regs.data(), procCount_,
-        [&](double* d, int n, int slot) {
-            // Lane-major SoA: every lane of one slot reads from the
-            // same procCount-wide contiguous row.
-            const std::int64_t row = rows[slot];
-            if (allValid[slot] != 0) {
-                if (dense) {
-                    std::memcpy(d, soa + row + b,
-                                static_cast<size_t>(n) * sizeof(double));
-                } else {
-                    for (int l = 0; l < n; ++l) d[l] = soa[row + lp[l]];
-                }
-                return;
-            }
-            for (int l = 0; l < n; ++l) {
-                const std::int64_t at = row + lp[l];
-                d[l] = soaValid[at] != 0 ? soa[at]
-                                         : missLaneBc(w, lp[l], plan, slot);
-            }
-        });
-    std::copy(w.regs.data(), w.regs.data() + lanes, values_.data() + b);
-}
-
-double SpmdSimulator::missLaneBc(WorkerScratch& w, int proc,
-                                 const StmtPlan& plan, int slot) {
-    const bc::FetchSlot& sl = plan.code.slots[static_cast<size_t>(slot)];
-    const std::int64_t flat = sl.isArray ? slotFlat_[static_cast<size_t>(slot)]
-                                         : 0;
-    // A copy this processor already fetched earlier in the same phase
-    // (a second slot aliasing the same element at runtime).
-    for (const PendingWrite& pw : w.pending)
-        if (pw.proc == proc && pw.sym == sl.sym && pw.flat == flat)
-            return pw.v;
-    PHPF_DASSERT(slotMissResolved_[static_cast<size_t>(slot)] != 0,
-                 "lane miss on a slot the phase pre-resolution skipped");
-    const double v = slotMissV_[static_cast<size_t>(slot)];
-    w.pending.push_back(PendingWrite{proc, sl.sym, flat, v});
-    w.misses.push_back(MissRecord{plan.slotOp[static_cast<size_t>(slot)], proc,
-                                  slotMissSrc_[static_cast<size_t>(slot)]});
-    return v;
-}
-
 void SpmdSimulator::resolveSlotMiss(const StmtPlan& plan, int slot,
                                     int firstProc) {
     const bc::FetchSlot& sl = plan.code.slots[static_cast<size_t>(slot)];
@@ -525,10 +456,10 @@ void SpmdSimulator::resolveSlotMiss(const StmtPlan& plan, int slot,
                 "processor " + std::to_string(firstProc) +
                     " reads unavailable data with no communication op: " +
                     printExpr(prog_, sl.ref) + " (program " + prog_.name + ")");
-    // Owner validity is frozen within a phase (store writes are deferred
-    // to the barrier), so one (value, source) resolution is exact for
-    // every missing lane — a per-lane scan would find the identical
-    // holder in the identical order.
+    // Resolved before any miss of the instance is applied, so owner
+    // validity is the pre-statement state and one (value, source)
+    // resolution is exact for every missing lane — a per-lane scan
+    // would find the identical holder in the identical order.
     const std::int64_t row = slotRow_[static_cast<size_t>(slot)];
     double v = 0.0;
     int src = -1;
@@ -556,38 +487,6 @@ void SpmdSimulator::resolveSlotMiss(const StmtPlan& plan, int slot,
                               prog_.name);
     slotMissV_[static_cast<size_t>(slot)] = v;
     slotMissSrc_[static_cast<size_t>(slot)] = src;
-    slotMissResolved_[static_cast<size_t>(slot)] = 1;
-}
-
-void SpmdSimulator::storeLanes(SymbolId sym, std::int64_t flat,
-                               const std::vector<int>& execs, size_t b,
-                               size_t e) {
-    const std::int64_t row = soaRowOf(sym, flat);
-    for (size_t i = b; i < e; ++i) {
-        soa_[static_cast<size_t>(row + execs[i])] = values_[i];
-        soaValid_[static_cast<size_t>(row + execs[i])] = 1;
-    }
-}
-
-void SpmdSimulator::phaseWorker(int worker) {
-    WorkerScratch& ws = workers_[static_cast<size_t>(worker)];
-    try {
-        const std::vector<int>& execs = *phaseExecs_;
-        const auto [b, e] = LockstepPool::chunkOf(
-            static_cast<std::int64_t>(execs.size()), worker, threads_);
-        runLanesInto(ws, *phasePlan_, execs, b, e);
-        // Relaxed mode: each executor commits its private reduction
-        // accumulator immediately. Only lanes in [b, e) are written, so
-        // workers never touch the same processor's copy; any
-        // cross-processor read of the accumulator inside the loop would
-        // have tripped the no-communication-op assert in strict mode as
-        // well.
-        if (phaseDirect_ != kNoSymbol)
-            storeLanes(phaseDirect_, 0, execs, static_cast<size_t>(b),
-                       static_cast<size_t>(e));
-    } catch (...) {
-        ws.error = std::current_exception();
-    }
 }
 
 void SpmdSimulator::resolveSlotIndices(const Stmt* s, const StmtPlan& plan) {
@@ -617,13 +516,10 @@ bool SpmdSimulator::scanSlots(const StmtPlan& plan,
     bool clean = true;
     for (size_t i = 0; i < n; ++i) {
         slotRow_[i] = elems[i] * procCount_;
-        slotMissResolved_[i] = 0;
-        // Pre-resolve every slot some executor will miss: validity is
-        // frozen for the whole phase, so the resolution is identical for
-        // all lanes, and doing it here (main thread, before the pool)
-        // keeps the workers read-only on shared state. A slot every
-        // executor holds is flagged so the VM loads it as one contiguous
-        // row.
+        // Pre-resolve every slot some executor will miss, against the
+        // pre-statement state: the resolution is identical for all
+        // lanes. A slot every executor holds is flagged so applyMisses
+        // skips it.
         const char* vrow = soaValid_.data() + slotRow_[i];
         char ok = 1;
         if (dense) {
@@ -665,77 +561,6 @@ void SpmdSimulator::PhaseClock::record() const {
         prof->addEvalSample(us);
 }
 
-void SpmdSimulator::evalPhase(const StmtPlan& plan,
-                              const std::vector<int>& execs,
-                              SymbolId directSym) {
-    const PhaseClock clock = startPhase(/*merge=*/false);
-    const size_t ne = execs.size();
-    phaseClean_ = scanSlots(plan, execs, slotElem_.data());
-    values_.resize(ne);
-    if (pool_ == nullptr || static_cast<int>(ne) < threads_) {
-        runLanesInto(workers_[0], plan, execs, 0,
-                     static_cast<std::int64_t>(ne));
-        if (directSym != kNoSymbol) storeLanes(directSym, 0, execs, 0, ne);
-        clock.stop();
-        return;
-    }
-    phaseExecs_ = &execs;
-    phasePlan_ = &plan;
-    phaseDirect_ = directSym;
-    pool_->run(
-        [](void* ctx, int worker) {
-            static_cast<SpmdSimulator*>(ctx)->phaseWorker(worker);
-        },
-        this);
-    clock.stop();
-    for (WorkerScratch& ws : workers_) {
-        if (ws.error == nullptr) continue;
-        const std::exception_ptr err = ws.error;
-        for (WorkerScratch& other : workers_) {
-            other.error = nullptr;
-            other.pending.clear();
-            other.misses.clear();
-        }
-        std::rethrow_exception(err);
-    }
-}
-
-void SpmdSimulator::mergeWorkers() {
-    const PhaseClock clock = startPhase(/*merge=*/true);
-    // Event-context memo: the oracle's scalars are constant for the
-    // whole merge, so after noteEvent(op) ran once, repeating it for
-    // the same op is a guaranteed duplicate (InternedEventSet::record
-    // returns false) — skip the context rebuild and hash probe.
-    ++mergeStamp_;
-    for (WorkerScratch& ws : workers_) {
-        for (const PendingWrite& pw : ws.pending) {
-            const std::int64_t at = soaRowOf(pw.sym, pw.flat) + pw.proc;
-            soa_[static_cast<size_t>(at)] = pw.v;
-            soaValid_[static_cast<size_t>(at)] = 1;
-        }
-        for (const MissRecord& m : ws.misses) {
-            // Lossy-network mode: every element transfer rides the
-            // reliable transport. Polled here, on the main thread in
-            // deterministic merge order, so a fixed seed reproduces the
-            // exact fault schedule for any worker-thread count.
-            if (transport_ != nullptr) transport_->deliver("element transfer");
-            ++transfers_;
-            ++elemsPerOp_[static_cast<size_t>(m.op->id)];
-            ++procMetrics_[static_cast<size_t>(m.proc)].recvElements;
-            ++procMetrics_[static_cast<size_t>(m.src)].sentElements;
-            if (profile_ != nullptr) profile_->addElement();
-            std::uint64_t& stamp = opStamp_[static_cast<size_t>(m.op->id)];
-            if (stamp != mergeStamp_) {
-                noteEvent(m.op);
-                stamp = mergeStamp_;
-            }
-        }
-        ws.pending.clear();
-        ws.misses.clear();
-    }
-    clock.stop();
-}
-
 void SpmdSimulator::beginInstance(const Stmt* s,
                                   const std::vector<int>& execs) {
     procStmts_ += static_cast<std::int64_t>(execs.size());
@@ -754,37 +579,7 @@ void SpmdSimulator::execStmt(const Stmt* s) {
             const std::vector<int>& execs = executorsOf(s);
             beginInstance(s, execs);
             resolveSlotIndices(s, plan);
-            if (plan.laneUniform) {
-                uniformKernel(s, plan, execs, slotElem_.data());
-                break;
-            }
-            const size_t lhsAt = plan.code.slots.size();
-            const std::int64_t flat = slotFlat_[lhsAt];
-            // Relaxed mode: a scalar reduction accumulator is committed
-            // by each executor as soon as its lane finishes, skipping
-            // the merge-order barrier below. Safe because the combine
-            // is commutative and nobody else may read the accumulator
-            // mid-loop (no communication op exists for it).
-            const bool direct = relaxed_ && plan.isReductionAcc &&
-                                s->lhs->kind == ExprKind::VarRef;
-            // Evaluate on every executor against the pre-statement state.
-            evalPhase(plan, execs, direct ? s->lhs->sym : kNoSymbol);
-            if (!phaseClean_ || mergeHist_ != nullptr ||
-                profile_ != nullptr)
-                mergeWorkers();
-            // Apply the statement's effect on the oracle through the
-            // same bytecode, so the reference state never pays a tree
-            // walk either; the oracle's accounting matches execStmt.
-            const double v = oracleValue(plan, slotElem_.data());
-            if (!plan.isReductionAcc)
-                // Non-executors' copies become stale: one contiguous
-                // validity-row clear.
-                std::memset(soaValid_.data() + slotElem_[lhsAt] * procCount_,
-                            0, static_cast<size_t>(procCount_));
-            if (!direct)
-                storeLanes(s->lhs->sym, flat, execs, 0, execs.size());
-            oracle_.store().set(s->lhs->sym, flat, v);
-            oracle_.noteStatementExecuted();
+            runInstance(s, plan, execs, slotElem_.data());
             break;
         }
         case StmtKind::If: {
@@ -793,16 +588,8 @@ void SpmdSimulator::execStmt(const Stmt* s) {
             const std::vector<int>& execs = executorsOf(s);
             beginInstance(s, execs);
             resolveSlotIndices(s, plan);
-            bool taken = false;
-            if (plan.laneUniform) {
-                taken = uniformKernel(s, plan, execs, slotElem_.data()) != 0.0;
-            } else {
-                evalPhase(plan, execs);  // predicate comm
-                if (!phaseClean_ || mergeHist_ != nullptr ||
-                    profile_ != nullptr)
-                    mergeWorkers();
-                taken = oracleValue(plan, slotElem_.data()) != 0.0;
-            }
+            const bool taken =
+                runInstance(s, plan, execs, slotElem_.data()) != 0.0;
             if (trackCtrl_) {
                 CtrlFrame f;
                 f.stmt = s;
@@ -856,23 +643,38 @@ void SpmdSimulator::execStmt(const Stmt* s) {
     }
 }
 
-double SpmdSimulator::uniformKernel(const Stmt* s, const StmtPlan& plan,
-                                    const std::vector<int>& execs,
-                                    const std::int64_t* elems) {
-    // Every lane computes the oracle's value (lane uniformity, see
-    // buildPlans): no per-lane VM run, only the communication. The
-    // samplers tick as for a deferred eval + merge pair.
-    const PhaseClock eval = startPhase(/*merge=*/false);
-    const bool clean = scanSlots(plan, execs, elems);
-    eval.stop();
+double SpmdSimulator::runInstance(const Stmt* s, const StmtPlan& plan,
+                                  const std::vector<int>& execs,
+                                  const std::int64_t* elems) {
     const PhaseClock merge = startPhase(/*merge=*/true);
-    if (!clean) applyMisses(plan, execs);
+    if (!scanSlots(plan, execs, elems)) applyMisses(plan, execs);
     merge.stop();
+    // Every executor now holds every operand, and nothing the statement
+    // writes has been stored yet: each lane reads pre-statement state.
+    const PhaseClock eval = startPhase(/*merge=*/false);
+    // The oracle runs the same bytecode, so the reference state never
+    // pays a tree walk either.
     const double v = oracleValue(plan, elems);
-    if (s->kind != StmtKind::Assign) return v;
+    if (s->kind != StmtKind::Assign) {
+        // A divergent predicate's lanes need only their communication:
+        // the branch taken is the oracle's.
+        eval.stop();
+        return v;
+    }
     const std::int64_t elem = elems[plan.code.slots.size()];
     const std::int64_t row = elem * procCount_;
-    if (&execs == &allProcs_) {
+    if (!plan.laneUniform) {
+        laneValues(plan, execs);
+        // Non-executors' copies become stale, except a reduction
+        // accumulator's: each processor keeps its private partial.
+        if (!plan.isReductionAcc)
+            std::memset(soaValid_.data() + row, 0,
+                        static_cast<size_t>(procCount_));
+        for (size_t i = 0; i < execs.size(); ++i) {
+            soa_[static_cast<size_t>(row + execs[i])] = laneRegs_[i];
+            soaValid_[static_cast<size_t>(row + execs[i])] = 1;
+        }
+    } else if (&execs == &allProcs_) {
         std::fill_n(soa_.begin() + row, procCount_, v);
         std::fill_n(soaValid_.begin() + row, procCount_, static_cast<char>(1));
     } else {
@@ -888,15 +690,37 @@ double SpmdSimulator::uniformKernel(const Stmt* s, const StmtPlan& plan,
     oracle_.store().dataRaw()[elem] = v;
     oracle_.store().validRaw()[elem] = 1;
     oracle_.noteStatementExecuted();
+    eval.stop();
     return v;
+}
+
+void SpmdSimulator::laneValues(const StmtPlan& plan,
+                               const std::vector<int>& execs) {
+    const int lanes = static_cast<int>(execs.size());
+    const int* lp = execs.data();
+    const std::int64_t* rows = slotRow_.data();
+    const double* soa = soa_.data();
+    // Dense lane sets (guard All) index procs 0..P-1 in order, so a slot
+    // row is one contiguous copy.
+    const bool dense = &execs == &allProcs_;
+    vm::runLanes(plan.code.value, lanes, laneRegs_.data(), procCount_,
+                 [&](double* d, int n, int slot) {
+                     const double* row = soa + rows[slot];
+                     if (dense) {
+                         std::memcpy(d, row,
+                                     static_cast<size_t>(n) * sizeof(double));
+                         return;
+                     }
+                     for (int l = 0; l < n; ++l) d[l] = row[lp[l]];
+                 });
 }
 
 void SpmdSimulator::applyMisses(const StmtPlan& plan,
                                 const std::vector<int>& execs) {
-    // Slot-major, lanes in executor order; a slot whose SoA row equals
-    // an earlier slot's is skipped (its missing lanes fetched the
-    // element there). Mutating a row cannot change a later slot's miss
-    // set: an equal row is skipped, a different row is untouched.
+    // Slot-major, lanes in executor order. Each fetched copy becomes
+    // valid at once, so a later slot on the same SoA row (one element
+    // read twice) finds its lanes valid and moves nothing: one transfer
+    // per (processor, element), booked to the first slot's comm op.
     const size_t n = plan.code.slots.size();
     // Event-context memo: the oracle's scalars are constant for the
     // whole instance, so after noteEvent(op) ran once, repeating it for
@@ -904,10 +728,6 @@ void SpmdSimulator::applyMisses(const StmtPlan& plan,
     ++mergeStamp_;
     for (size_t i = 0; i < n; ++i) {
         if (slotAllValid_[i] != 0) continue;
-        bool dup = false;
-        for (size_t j = 0; j < i; ++j)
-            if (slotRow_[j] == slotRow_[i]) dup = true;
-        if (dup) continue;
         const std::int64_t row = slotRow_[i];
         char* vrow = soaValid_.data() + row;
         const double mv = slotMissV_[i];
@@ -1013,7 +833,7 @@ bool SpmdSimulator::runLoopKernel(const Stmt* s, std::int64_t lb,
                          "loop driver index diverges from its form");
             beginInstance(b, *execs);
             loopKernelInstances_ += static_cast<std::int64_t>(execs->size());
-            uniformKernel(b, plan, *execs, elems);
+            runInstance(b, plan, *execs, elems);
             elems += plan.code.slots.size() + 1;
         }
         for (size_t j = 0; j < loopElem_.size(); ++j)
@@ -1231,15 +1051,8 @@ void SpmdSimulator::restoreCheckpoint() {
     std::fill(execDelta_.begin(), execDelta_.end(), 0);
     accountedInstances_ = 0;
     denseAccounted_ = 0;
-    // The control stack is rebuilt by the resume navigation; worker
-    // scratch holds no state at a statement boundary, but clear it
-    // defensively.
+    // The control stack is rebuilt by the resume navigation.
     ctrl_.clear();
-    for (WorkerScratch& w : workers_) {
-        w.pending.clear();
-        w.misses.clear();
-        w.error = nullptr;
-    }
 }
 
 void SpmdSimulator::resumeInto(const std::vector<Stmt*>& block, size_t depth) {
@@ -1396,36 +1209,6 @@ void SpmdSimulator::run() {
     wallSec_ = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t0)
                    .count();
-
-    // One tid-stamped span per spawned pool worker, covering the whole
-    // run and parented under the caller's current context (normally the
-    // driver's sim-exec span). Recorded from each worker's own thread
-    // in one final pool kick, so the Chrome trace gets a named
-    // "sim-worker-N" row per thread without per-phase span overhead.
-    // Worker 0 is the caller; its time is the sim-exec span itself.
-    // Category "worker", not "sim": the rows say where threads ran, they
-    // are not pipeline stages, so the run report's pass list skips them.
-    if (tracer_ != nullptr && tracer_->enabled() && pool_ != nullptr) {
-        struct SpanCtx {
-            obs::Tracer* tracer;
-            obs::SpanContext parent;
-            std::int64_t startNs;
-            std::int64_t durNs;
-        };
-        const std::int64_t durNs = static_cast<std::int64_t>(wallSec_ * 1e9);
-        SpanCtx sc{tracer_, tracer_->currentContext(),
-                   tracer_->nowNs() - durNs, durNs};
-        pool_->run(
-            [](void* ctx, int worker) {
-                if (worker == 0) return;
-                const auto* c = static_cast<const SpanCtx*>(ctx);
-                const std::string name =
-                    "sim-worker-" + std::to_string(worker);
-                c->tracer->addCompleteSpan(name.c_str(), "worker", c->startNs,
-                                           c->durNs, c->parent);
-            },
-            &sc);
-    }
 }
 
 std::int64_t SpmdSimulator::eventsOfOp(int opId) const {

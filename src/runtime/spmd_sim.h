@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 #include <memory>
 
 #include "obs/metrics.h"
@@ -18,7 +17,6 @@
 #include "support/cancellation.h"
 #include "support/fault.h"
 #include "support/interned_events.h"
-#include "support/parallel.h"
 
 namespace phpf {
 
@@ -42,14 +40,15 @@ namespace phpf {
 /// message event, directly comparable with the analytic cost model's
 /// event counts.
 ///
-/// The per-processor work of each statement instance runs on a reusable
-/// lockstep worker pool (support/parallel.h) when `threads > 1`: every
-/// executor evaluates its right-hand side against the frozen
-/// pre-statement state (store writes — fetched-copy caching, lhs
-/// stores, invalidation — are deferred to the barrier at the end of the
-/// instance), so owner-computes semantics and the validity-bitmap
-/// checks are unchanged and all results and metrics are bit-identical
-/// across thread counts.
+/// Every statement instance is one phase on one thread: the validity
+/// scan finds the executors missing an operand, the misses are applied
+/// in place (each fetched copy becomes valid on its receiver and every
+/// transfer is accounted), the value chunk runs — once on the oracle
+/// when every lane provably computes its value, else once per executor
+/// lane — and only then are the lhs copies stored and the
+/// non-executors' copies invalidated. Fetching writes only copies of
+/// operands, never the statement's own target, so every executor reads
+/// pre-statement state (SPMD semantics).
 /// Per-processor accounting of one simulated run: what each processor
 /// executed, skipped (its computation-partitioning guard was false), and
 /// moved. The imbalance across processors is the load-balance signal the
@@ -89,11 +88,9 @@ struct SimRecoveryConfig {
 class SpmdSimulator {
 public:
     /// `elemBytes` is the machine element size used for byte accounting
-    /// (CostModel::elemBytes; REAL = 8 on the modelled SP2). `threads`
-    /// is the lockstep worker count: 0 means auto (PHPF_SIM_THREADS,
-    /// else hardware_concurrency), always clamped to the processor
-    /// count. Results are independent of the value.
-    /// The SimEngine parameter is ignored (runtime/engine.h).
+    /// (CostModel::elemBytes; REAL = 8 on the modelled SP2). The `int`
+    /// thread count and the SimEngine parameter are ignored (the
+    /// simulator runs on the calling thread; runtime/engine.h).
     ///
     /// `relaxedMerge` opts into combining commutative reductions
     /// (sum/max/min) from the per-processor partial accumulators in
@@ -102,18 +99,18 @@ public:
     /// statements write their private accumulator in-phase instead of
     /// through the ordered merge barrier. Max/min and integer sums stay
     /// exact; floating-point sums may differ from the oracle by
-    /// reassociation. Still deterministic for any thread count.
+    /// reassociation. Still deterministic.
     /// `targetKind` selects the machine the accounting describes.
     /// Functional semantics are target-independent (the same lowering
     /// executes; a shared-memory "coherence read" moves the same value a
     /// message-passing "transfer" does), so results are bit-identical
     /// across targets. Under SharedMemory the simulator additionally
     /// counts barrier epochs (each vectorized sync event is one
-    /// producers-then-consumers barrier on the lockstep pool) and does
+    /// producers-then-consumers barrier) and does
     /// not arm the lossy-network transport — there is no network inside
     /// one SMP node (proc.crash recovery still applies).
     explicit SpmdSimulator(const SpmdLowering& low, int elemBytes = 8,
-                           int threads = 1, SimRecoveryConfig recovery = {},
+                           int /*threads*/ = 1, SimRecoveryConfig recovery = {},
                            SimEngine = SimEngine::Bytecode,
                            bool relaxedMerge = false,
                            TargetKind targetKind = TargetKind::MessagePassing);
@@ -131,18 +128,13 @@ public:
     /// lookup. A lane-uniform phase costs tens of nanoseconds, about
     /// one clock read, so the eval/merge histograms sample 1 in
     /// kTelemetrySample phases; checkpoints are rare and timed
-    /// unconditionally.
-    /// `tracer` (nullable) receives one tid-stamped span per
-    /// pool worker covering the run, parented under the calling
-    /// thread's current context, which gives Chrome traces their
-    /// per-thread sim-worker rows. Null pointers (the default) keep the
-    /// existing zero-overhead behaviour.
-    void setTelemetry(obs::MetricRegistry* metrics,
-                      obs::Tracer* tracer);
+    /// unconditionally. A null pointer (the default) keeps the
+    /// zero-overhead behaviour.
+    void setTelemetry(obs::MetricRegistry* metrics);
 
     /// Opt into the per-statement profiler before run(). Counts
     /// (instances, per-proc executions, transfers, events) are exact
-    /// and bit-identical across thread counts; wall time is
+    /// and deterministic; wall time is
     /// 1-in-kSampleEvery sampled (deterministic sample *counts*,
     /// host-dependent durations). The armed overhead budget is <2%
     /// (bench/bench_profile_overhead.cpp enforces it).
@@ -157,26 +149,17 @@ public:
     }
 
     [[nodiscard]] int procCount() const { return procCount_; }
-    /// Lockstep worker threads the simulation runs on (resolved).
-    [[nodiscard]] int threads() const { return threads_; }
+    /// Always 1: the simulation runs on the calling thread. Kept with
+    /// workerBusySec() and the constructor's thread parameter for
+    /// callers written against the retired worker pool.
+    [[nodiscard]] int threads() const { return 1; }
     /// True when the relaxed commutative reduction merge is active.
     [[nodiscard]] bool relaxedMerge() const { return relaxed_; }
     /// Wall-clock seconds of the last run() (initial distribution
     /// included).
     [[nodiscard]] double wallSec() const { return wallSec_; }
-    /// Aggregate seconds the pool workers spent inside parallel phases;
-    /// busy/wall estimates the achieved parallel speedup. 0 when the
-    /// simulation ran single-threaded.
-    [[nodiscard]] double workerBusySec() const {
-        return pool_ != nullptr
-                   ? static_cast<double>(pool_->busyNs()) * 1e-9
-                   : 0.0;
-    }
-    [[nodiscard]] double parallelSpeedupEst() const {
-        if (pool_ == nullptr || wallSec_ <= 0.0) return 1.0;
-        const double est = workerBusySec() / wallSec_;
-        return est < 1.0 ? 1.0 : est;
-    }
+    /// Always 0 (no worker pool); see threads().
+    [[nodiscard]] double workerBusySec() const { return 0.0; }
 
     /// Machine model this run's accounting describes.
     [[nodiscard]] TargetKind targetKind() const { return targetKind_; }
@@ -231,7 +214,7 @@ public:
     /// Proc-statements the loop driver ran: lane-uniform innermost loop
     /// bodies executed on per-iteration address increments (see
     /// runLoopKernel). A subset of statementsExecutedAllProcs();
-    /// deterministic and independent of the thread count.
+    /// deterministic.
     [[nodiscard]] std::int64_t loopKernelInstances() const {
         return loopKernelInstances_;
     }
@@ -342,9 +325,8 @@ private:
         /// statement is not a reduction accumulation and no
         /// fetched symbol is divergent (per-processor copies of every
         /// read symbol equal the oracle whenever valid). Such instances
-        /// run the uniform kernel: no per-lane VM run, misses applied
-        /// in place for the communication accounting, and the oracle's
-        /// scalar result broadcast to the executors.
+        /// skip the per-lane VM run: the oracle's scalar result is
+        /// broadcast to the executors.
         bool laneUniform = false;
         /// Do: an innermost loop the loop driver runs (see
         /// planLoopKernel for the eligibility rules).
@@ -357,31 +339,6 @@ private:
         bool execVaries = false;
     };
 
-    /// A fetched-copy store write deferred to the end of the phase.
-    struct PendingWrite {
-        int proc;
-        SymbolId sym;
-        std::int64_t flat;
-        double v;
-    };
-    /// One element transfer observed during a phase; accounted (and its
-    /// event recorded) in deterministic worker order at the barrier.
-    struct MissRecord {
-        const CommOp* op;
-        int proc;
-        int src;
-    };
-
-    /// Per-worker scratch; padded so workers never share a cache line.
-    struct alignas(64) WorkerScratch {
-        std::vector<PendingWrite> pending;
-        std::vector<MissRecord> misses;
-        /// SoA register banks, numRegs x procCount
-        /// doubles (lane stride is the processor count).
-        std::vector<double> regs;
-        std::exception_ptr error;
-    };
-
     void buildPlans();
     void execBlock(const std::vector<Stmt*>& block);
     /// execBlock starting at `start` (resume + goto continuation).
@@ -390,19 +347,27 @@ private:
     /// Per-instance accounting every executed Assign/If pays: proc
     /// statements, guard accounting, and the profiler's instance row.
     void beginInstance(const Stmt* s, const std::vector<int>& execs);
-    /// The one execution path of a lane-uniform Assign/If instance,
-    /// given each fetch slot's store element index and, for an Assign,
-    /// the lhs element index after them (`elems`). Scans slot validity,
-    /// applies the misses in place (slot-major lane order, row dedup,
-    /// per-merge event memo; every transfer rides the armed transport),
-    /// runs the oracle chunk once and broadcasts an Assign's result to
-    /// the executors. Armed telemetry and the profiler tick their eval
-    /// and merge samplers once per instance. Returns the chunk's value.
-    double uniformKernel(const Stmt* s, const StmtPlan& plan,
-                         const std::vector<int>& execs,
-                         const std::int64_t* elems);
+    /// The one execution path of an Assign/If instance, given each
+    /// fetch slot's store element index and, for an Assign, the lhs
+    /// element index after them (`elems`). The merge phase scans slot
+    /// validity and applies the misses in place (slot-major lane order,
+    /// one transfer per processor and element, per-instance event memo;
+    /// every transfer rides the armed transport). The eval phase runs
+    /// the value chunk and stores an Assign's result on the executors:
+    /// a lane-uniform statement runs the chunk once on the oracle and
+    /// broadcasts its value, a divergent Assign runs it once per
+    /// executor lane (laneValues). Armed telemetry and the profiler
+    /// tick their eval and merge samplers once per instance. Returns
+    /// the oracle chunk's value.
+    double runInstance(const Stmt* s, const StmtPlan& plan,
+                       const std::vector<int>& execs,
+                       const std::int64_t* elems);
     /// Apply the misses the last scanSlots found, in place.
     void applyMisses(const StmtPlan& plan, const std::vector<int>& execs);
+    /// Run a divergent statement's chunk on every executor lane (slot
+    /// rows from the last scanSlots, every executor valid after
+    /// applyMisses); lane i's value is left in laneRegs_[i].
+    void laneValues(const StmtPlan& plan, const std::vector<int>& execs);
     /// Store `iv` into loop variable of `s` on the oracle and every
     /// processor.
     void setLoopVar(const Stmt* s, std::int64_t iv);
@@ -415,7 +380,7 @@ private:
     /// at loop entry, then advances each element index by its
     /// per-iteration increment and recomputes a singleton owner only
     /// when its form depends on the loop variable; every instance runs
-    /// the uniform kernel. Returns false, having executed nothing, when
+    /// runInstance. Returns false, having executed nothing, when
     /// the loop has no iterations or an index would leave its array —
     /// the per-statement path then runs (and reports) it.
     bool runLoopKernel(const Stmt* s, std::int64_t lb, std::int64_t ub,
@@ -498,36 +463,9 @@ private:
             c.t0 = std::chrono::steady_clock::now();
         return c;
     }
-    /// Evaluate a divergent statement's chunk on every executor against
-    /// the frozen pre-statement state (slot indices from
-    /// resolveSlotIndices), filling values_; parallel when the
-    /// pool is active and the executor set is wide enough. `directSym`
-    /// != kNoSymbol (relaxed merge, reduction accumulators only)
-    /// additionally writes each executor's result straight to its
-    /// private accumulator copy, skipping the ordered post-merge write
-    /// loop.
-    void evalPhase(const StmtPlan& plan, const std::vector<int>& execs,
-                   SymbolId directSym = kNoSymbol);
-    void phaseWorker(int worker);
-    /// Write values_[b, e) valid to executors execs[b, e)'s copies of
-    /// (sym, flat).
-    void storeLanes(SymbolId sym, std::int64_t flat,
-                    const std::vector<int>& execs, size_t b, size_t e);
-    /// Run the phase chunk over lanes [b, e) of the
-    /// executor set on `w`'s register banks, filling values_.
-    void runLanesInto(WorkerScratch& w, const StmtPlan& plan,
-                      const std::vector<int>& execs, std::int64_t b,
-                      std::int64_t e);
-    /// One lane's fetch of a slot its processor does
-    /// not hold — pending-copy check, then the per-phase resolved
-    /// (value, source) with the transfer recorded. Out of line: cold
-    /// next to the contiguous SoA fast path.
-    double missLaneBc(WorkerScratch& w, int proc, const StmtPlan& plan,
-                      int slot);
-    /// Resolve slot's miss once per phase (owner
-    /// validity is frozen within a phase, so every missing lane gets the
-    /// identical value and source processor). Main thread only, before
-    /// the pool runs — parallel workers read the memo, never write it.
+    /// Resolve slot's miss once per instance, before any miss is
+    /// applied (every missing lane gets the identical value and source
+    /// processor).
     void resolveSlotMiss(const StmtPlan& plan, int slot, int firstProc);
     /// SoA row base (element * procCount) of (sym, flat). The banks
     /// share the oracle store's element layout, so the row is
@@ -546,10 +484,7 @@ private:
                   soaValid_.begin() + row + procCount_,
                   static_cast<char>(1));
     }
-    /// Apply deferred store writes and account the recorded transfers,
-    /// workers in index order (deterministic for any thread count).
-    void mergeWorkers();
-    /// Account one element transfer's message event (main thread).
+    /// Account one element transfer's message event.
     void noteEvent(const CommOp* op);
     /// Per-proc executed/skipped accounting for one statement instance.
     /// Accumulates into flat delta counters (one int per processor, not
@@ -583,11 +518,9 @@ private:
     Interpreter oracle_;
     int procCount_;
     int elemBytes_;
-    int threads_;
     bool relaxed_;
     TargetKind targetKind_;
     std::int64_t barrierEvents_ = 0;  ///< shm only; see barrierEvents()
-    std::unique_ptr<LockstepPool> pool_;
     std::vector<ProcSimMetrics> procMetrics_;
     std::int64_t transfers_ = 0;
     std::int64_t procStmts_ = 0;
@@ -607,19 +540,20 @@ private:
     Arena bcArena_;
     int maxRegs_ = 0;  ///< widest chunk register file across statements
 
-    // --- per-instance scratch (main thread; no per-statement allocs) ---
+    // --- per-instance scratch (no per-statement allocs) ---
     std::vector<int> execsScratch_;
     GridSet gsScratch_;
     std::vector<int> coordsScratch_;
     std::vector<char> flagsScratch_;
-    std::vector<double> values_;
     std::vector<std::int64_t> ctxScratch_;
-    std::vector<WorkerScratch> workers_;
     /// Per-instance flat index and store element index of each fetch
     /// slot, then of an Assign's lhs (resolved once on the oracle).
     std::vector<std::int64_t> slotFlat_;
     std::vector<std::int64_t> slotElem_;
     std::vector<double> oracleRegs_;  ///< scalar VM register scratch
+    /// Lane VM register banks, numRegs x procCount doubles (lane stride
+    /// is the processor count).
+    std::vector<double> laneRegs_;
     /// The per-processor state, lane-major. Element e of processor p
     /// lives at [e * procCount + p] (e = Store::elemIndexOf on the
     /// oracle's store), so one fetch reads procCount contiguous lanes
@@ -627,15 +561,14 @@ private:
     /// memset.
     std::vector<double> soa_;
     std::vector<char> soaValid_;
-    /// Per-phase slot scratch: SoA row base of each fetch slot, and the
-    /// once-per-phase miss memo (resolved value + source processor).
+    /// Per-instance slot scratch: SoA row base of each fetch slot, and
+    /// the once-per-instance miss memo (resolved value + source
+    /// processor).
     std::vector<std::int64_t> slotRow_;
     std::vector<double> slotMissV_;
     std::vector<int> slotMissSrc_;
-    std::vector<char> slotMissResolved_;
-    /// Per-phase: every executor lane of the slot held a valid copy at
-    /// the pre-scan (validity is frozen within the phase), so the VM
-    /// loads the slot with one contiguous row copy.
+    /// Per-instance: every executor lane of the slot held a valid copy
+    /// at the scan, so applyMisses skips the slot.
     std::vector<char> slotAllValid_;
     /// Guard-accounting deltas since the last flushAccounting(): number
     /// of accounted statement instances, how many of those executed on
@@ -647,31 +580,21 @@ private:
     std::vector<std::int64_t> execDelta_;
     /// executorsOf scratch for singleton owner sets (always size 1).
     std::vector<int> singleProcScratch_;
-    /// Per-merge noteEvent memo: an op whose stamp equals the current
-    /// merge's stamp already recorded its event this merge (the event
-    /// context is frozen for the whole merge, so a repeat is a
+    /// Per-instance noteEvent memo: an op whose stamp equals the
+    /// current instance's stamp already recorded its event (the event
+    /// context is frozen for the whole instance, so a repeat is a
     /// guaranteed duplicate).
     std::vector<std::uint64_t> opStamp_;
     std::uint64_t mergeStamp_ = 0;
-    /// Set by evalPhase: the slot pre-scan found every executor
-    /// valid on every slot, so no worker can have recorded a pending
-    /// write or miss — the merge is a provable no-op and execStmt skips
-    /// it when no sampler needs its tick.
-    bool phaseClean_ = false;
     /// Relaxed merge: loop-entry accumulator snapshot by CommOp id.
     std::vector<double> combineInit_;
     /// Loop driver: each body statement's slot and lhs element indices
-    /// at the current iteration (statement after statement, as the
-    /// uniform kernel reads them), their per-iteration increments, and
+    /// at the current iteration (statement after statement, as
+    /// runInstance reads them), their per-iteration increments, and
     /// each body statement's singleton executor (-1 for guard All).
     std::vector<std::int64_t> loopElem_;
     std::vector<std::int64_t> loopElemStep_;
     std::vector<int> loopOwner_;
-
-    // --- current phase (set by evalPhase, read by workers) ---
-    const std::vector<int>* phaseExecs_ = nullptr;
-    const StmtPlan* phasePlan_ = nullptr;
-    SymbolId phaseDirect_ = kNoSymbol;  ///< relaxed in-phase write target
 
     // --- fault injection & recovery (all null/false when disabled) ---
     SimRecoveryConfig rcfg_;
@@ -697,8 +620,6 @@ private:
     static constexpr std::uint32_t kTelemetrySample = 1024;
     std::uint32_t evalTick_ = 0;
     std::uint32_t mergeTick_ = 0;
-    obs::MetricRegistry* metrics_ = nullptr;
-    obs::Tracer* tracer_ = nullptr;
     obs::Histogram* evalHist_ = nullptr;    ///< sim.phase.eval_us
     obs::Histogram* mergeHist_ = nullptr;   ///< sim.phase.merge_us
     obs::Histogram* ckptHist_ = nullptr;    ///< sim.checkpoint_us

@@ -1,5 +1,6 @@
 #include "service/compile_service.h"
 
+#include <algorithm>
 #include <optional>
 #include <thread>
 
@@ -43,6 +44,14 @@ std::unique_ptr<Program> remakeProgram(const CompileRequest& req) {
     return prog;
 }
 
+/// Size of the submit() pool: `workers`, or hardware concurrency when
+/// 0 (auto), clamped to [1, 8].
+int poolSize(int workers) {
+    if (workers <= 0)
+        workers = static_cast<int>(std::thread::hardware_concurrency());
+    return std::clamp(workers, 1, 8);
+}
+
 }  // namespace
 
 const char* statusName(CompileStatus s) {
@@ -58,7 +67,7 @@ const char* statusName(CompileStatus s) {
 CompileService::CompileService(ServiceConfig cfg)
     : cfg_(cfg),
       cache_(cfg.cacheCapacity, cfg.cacheShards),
-      pool_(std::make_unique<TaskPool>(resolveThreadCount(cfg.workers, 8),
+      pool_(std::make_unique<TaskPool>(poolSize(cfg.workers),
                                        "svc-worker")) {
     const FaultInjector* faults =
         cfg_.faults != nullptr ? cfg_.faults : FaultInjector::processIfEnabled();

@@ -95,9 +95,9 @@ struct CompileResult {
 };
 
 struct ServiceConfig {
-    /// Worker threads of the async submit() pool. 0 = auto
-    /// (PHPF_SIM_THREADS, else hardware concurrency, clamped to 8 —
-    /// compiles are memory-bound well before that).
+    /// Worker threads of the async submit() pool, at most 8 (compiles
+    /// are memory-bound well before that). 0 = auto: hardware
+    /// concurrency, clamped to [1, 8].
     int workers = 0;
     /// Total artifact-cache entries across shards.
     std::size_t cacheCapacity = 256;

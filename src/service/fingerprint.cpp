@@ -84,7 +84,6 @@ std::string canonicalOptionsKey(const TargetConfig& target,
     // The relaxed-merge mode is part of the artifact identity: relaxed
     // merges are numerically distinct for non-integer SUM reductions.
     appendBool(k, "relaxed", passes.relaxedMerge);
-    // simThreads intentionally absent: see header.
     return k;
 }
 

@@ -91,13 +91,23 @@ FaultSite::FaultSite(FaultSiteSpec spec) : spec_(std::move(spec)) {
 }
 
 bool FaultSite::fire() {
+    if (spec_.probability <= 0.0) {
+        // nth-only site: the decision depends only on the poll number,
+        // so a poll takes no lock; only a hit does, to re-check the
+        // limit and count the fire.
+        const std::int64_t poll =
+            polls_.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (spec_.nth <= 0 || poll % spec_.nth != 0) return false;
+        std::lock_guard<std::mutex> lock(mu_);
+        return countFire(poll);
+    }
     std::lock_guard<std::mutex> lock(mu_);
     const std::int64_t poll = polls_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (spec_.limit > 0 &&
         fires_.load(std::memory_order_relaxed) >= spec_.limit)
         return false;
     bool hit = spec_.nth > 0 && poll % spec_.nth == 0;
-    if (!hit && spec_.probability > 0.0) {
+    if (!hit) {
         // 53-bit uniform in [0,1); the draw happens on every poll that
         // reaches it, so the stream position depends only on the poll
         // count.
@@ -105,17 +115,21 @@ bool FaultSite::fire() {
             static_cast<double>(splitmix64(rng_) >> 11) * 0x1.0p-53;
         hit = u < spec_.probability;
     }
-    if (hit) {
-        fires_.fetch_add(1, std::memory_order_relaxed);
-        // Individual polls are far too hot to log; a fault actually
-        // firing is exactly the kind of rare event the recorder exists
-        // for.
-        obs::FlightRecorder::global().record(
-            "fault.fire",
-            spec_.site + " poll=" + std::to_string(poll) + " fire=" +
-                std::to_string(fires_.load(std::memory_order_relaxed)));
-    }
-    return hit;
+    return hit && countFire(poll);
+}
+
+bool FaultSite::countFire(std::int64_t poll) {
+    if (spec_.limit > 0 &&
+        fires_.load(std::memory_order_relaxed) >= spec_.limit)
+        return false;
+    fires_.fetch_add(1, std::memory_order_relaxed);
+    // Individual polls are far too hot to log; a fault actually firing
+    // is exactly the kind of rare event the recorder exists for.
+    obs::FlightRecorder::global().record(
+        "fault.fire",
+        spec_.site + " poll=" + std::to_string(poll) + " fire=" +
+            std::to_string(fires_.load(std::memory_order_relaxed)));
+    return true;
 }
 
 bool FaultInjector::configure(const std::string& spec, std::string* err) {

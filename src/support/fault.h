@@ -109,8 +109,15 @@ public:
     }
 
 private:
+    /// Count a hit at `poll` as a fire unless the limit is reached, and
+    /// record it in the flight recorder. Caller holds mu_.
+    bool countFire(std::int64_t poll);
+
     FaultSiteSpec spec_;
-    std::mutex mu_;  ///< guards rng_ and the poll/fire decision
+    /// Guards rng_ and the fire count. An nth-only site (probability 0)
+    /// decides each poll from the atomic poll counter alone and takes
+    /// the mutex only on a hit.
+    std::mutex mu_;
     std::uint64_t rng_;
     std::atomic<std::int64_t> polls_{0};
     std::atomic<std::int64_t> fires_{0};

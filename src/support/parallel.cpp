@@ -1,143 +1,8 @@
 #include "support/parallel.h"
 
-#include <chrono>
-#include <cstdlib>
-#include <exception>
-
 #include "support/thread_registry.h"
 
 namespace phpf {
-
-namespace {
-
-inline void cpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__)
-    asm volatile("yield");
-#endif
-}
-
-inline std::int64_t nowNs() {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-// Spin budget before easing off. Phases arrive every few microseconds
-// when the simulator is busy, so a short spin catches the next kick;
-// yielding keeps oversubscribed machines (CI containers) live, and the
-// condition variable parks workers through long gaps (compile passes,
-// report writing). The yield budget is deliberately large: parking on
-// the condition variable costs a futex round-trip per phase, which at
-// tens of thousands of phases per run dominates everything else —
-// workers should reach the cv only when the simulation has actually
-// stopped issuing phases.
-constexpr int kSpinIters = 2048;
-constexpr int kYieldIters = 20000;
-
-}  // namespace
-
-int resolveThreadCount(int requested, int maxUseful) {
-    int n = requested;
-    if (n <= 0) {
-        if (const char* env = std::getenv("PHPF_SIM_THREADS"))
-            n = std::atoi(env);
-        if (n <= 0) n = static_cast<int>(std::thread::hardware_concurrency());
-        if (n <= 0) n = 1;
-    }
-    if (maxUseful > 0 && n > maxUseful) n = maxUseful;
-    return n < 1 ? 1 : n;
-}
-
-LockstepPool::LockstepPool(int threads, std::string namePrefix)
-    : nThreads_(threads < 1 ? 1 : threads), stats_(static_cast<size_t>(nThreads_)) {
-    threads_.reserve(static_cast<size_t>(nThreads_ - 1));
-    for (int w = 1; w < nThreads_; ++w)
-        threads_.emplace_back([this, w, namePrefix] {
-            if (!namePrefix.empty())
-                thread_registry::setCurrentName(namePrefix + "-" +
-                                                std::to_string(w));
-            workerMain(w);
-        });
-}
-
-LockstepPool::~LockstepPool() {
-    stop_.store(true, std::memory_order_release);
-    {
-        // Taking the mutex pairs with the sleep path's predicate check:
-        // a worker is either before wait() (re-checks stop_) or inside
-        // it (gets the notify).
-        std::lock_guard<std::mutex> lock(mutex_);
-    }
-    cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-}
-
-void LockstepPool::execute(int worker) {
-    const std::int64_t t0 = nowNs();
-    task_(ctx_, worker);
-    stats_[static_cast<size_t>(worker)].busyNs.fetch_add(
-        nowNs() - t0, std::memory_order_relaxed);
-}
-
-void LockstepPool::workerMain(int worker) {
-    std::uint64_t seen = 0;
-    for (;;) {
-        int spins = 0;
-        for (;;) {
-            const std::uint64_t e = epoch_.load(std::memory_order_acquire);
-            if (e != seen) {
-                seen = e;
-                break;
-            }
-            if (stop_.load(std::memory_order_acquire)) return;
-            ++spins;
-            if (spins < kSpinIters) {
-                cpuRelax();
-            } else if (spins < kSpinIters + kYieldIters) {
-                std::this_thread::yield();
-            } else {
-                std::unique_lock<std::mutex> lock(mutex_);
-                sleepers_.fetch_add(1, std::memory_order_relaxed);
-                cv_.wait(lock, [&] {
-                    return epoch_.load(std::memory_order_acquire) != seen ||
-                           stop_.load(std::memory_order_acquire);
-                });
-                sleepers_.fetch_sub(1, std::memory_order_relaxed);
-                spins = 0;
-            }
-        }
-        execute(worker);
-        pending_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-}
-
-void LockstepPool::run(Task task, void* ctx) {
-    task_ = task;
-    ctx_ = ctx;
-    if (nThreads_ == 1) {
-        execute(0);
-        return;
-    }
-    pending_.store(nThreads_ - 1, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-    if (sleepers_.load(std::memory_order_acquire) > 0) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-        }
-        cv_.notify_all();
-    }
-    execute(0);
-    int spins = 0;
-    while (pending_.load(std::memory_order_acquire) != 0) {
-        ++spins;
-        if (spins < kSpinIters)
-            cpuRelax();
-        else
-            std::this_thread::yield();
-    }
-}
 
 TaskPool::TaskPool(int threads, std::string namePrefix)
     : nThreads_(threads < 1 ? 1 : threads) {
@@ -220,13 +85,6 @@ void TaskPool::workerMain() {
 std::string TaskPool::lastError() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return lastError_;
-}
-
-std::int64_t LockstepPool::busyNs() const {
-    std::int64_t total = 0;
-    for (const WorkerStat& s : stats_)
-        total += s.busyNs.load(std::memory_order_relaxed);
-    return total;
 }
 
 }  // namespace phpf

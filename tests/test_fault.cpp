@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -107,6 +108,27 @@ TEST(FaultSite, LimitCapsFires) {
     EXPECT_EQ(fires, 2);
     EXPECT_EQ(s->fires(), 2);
     EXPECT_EQ(s->polls(), 20);
+}
+
+TEST(FaultSite, ConcurrentNthPollsCountExactly) {
+    // An nth-only site decides each poll from its atomic poll counter:
+    // concurrent pollers must neither lose a poll nor overrun the limit.
+    constexpr int kThreads = 4;
+    constexpr int kPollsEach = 5000;
+    constexpr std::int64_t kTotal = kThreads * kPollsEach;
+    for (const std::int64_t limit : {std::int64_t{100}, kTotal}) {
+        FaultInjector inj;
+        ASSERT_TRUE(inj.configure("x:nth=7;limit=" + std::to_string(limit)));
+        FaultSite* s = inj.find("x");
+        std::vector<std::thread> pollers;
+        for (int t = 0; t < kThreads; ++t)
+            pollers.emplace_back([s] {
+                for (int i = 0; i < kPollsEach; ++i) (void)s->fire();
+            });
+        for (std::thread& t : pollers) t.join();
+        EXPECT_EQ(s->polls(), kTotal);
+        EXPECT_EQ(s->fires(), std::min(limit, kTotal / 7)) << "limit " << limit;
+    }
 }
 
 TEST(FaultSite, SameSeedSameSchedule) {

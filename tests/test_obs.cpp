@@ -256,7 +256,7 @@ TEST(ObsReport, RunReportRoundTripsThroughJson) {
     ASSERT_TRUE(err.empty()) << err;
 
     EXPECT_EQ(r.at("schema").stringValue(), "phpf.run_report");
-    EXPECT_EQ(r.at("schema_version").intValue(), 3);
+    EXPECT_EQ(r.at("schema_version").intValue(), 4);
     EXPECT_EQ(r.at("program").stringValue(), "fig1");
     EXPECT_EQ(r.at("total_procs").intValue(), 4);
     EXPECT_EQ(r.at("induction_rewrites").intValue(), 1);

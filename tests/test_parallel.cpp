@@ -1,12 +1,11 @@
-// The lockstep worker pool and the interned message-event set
-// (support/parallel.h, support/interned_events.h), plus the headline
-// guarantee of the multi-threaded SPMD simulator: results and every
-// metric are bit-identical for any lockstep thread count.
+// The service's task pool and the interned message-event set
+// (support/parallel.h, support/interned_events.h), plus the SPMD
+// simulator's determinism: every result and metric is bit-identical
+// from one run of a compilation to the next.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -18,93 +17,6 @@
 using namespace phpf;
 
 namespace {
-
-TEST(ResolveThreadCount, ExplicitRequestTakenAsIs) {
-    EXPECT_EQ(resolveThreadCount(3), 3);
-    EXPECT_EQ(resolveThreadCount(1), 1);
-}
-
-TEST(ResolveThreadCount, ClampedToMaxUseful) {
-    EXPECT_EQ(resolveThreadCount(8, 4), 4);
-    EXPECT_EQ(resolveThreadCount(2, 4), 2);
-}
-
-TEST(ResolveThreadCount, AutoReadsEnvironment) {
-    ::setenv("PHPF_SIM_THREADS", "3", 1);
-    EXPECT_EQ(resolveThreadCount(0), 3);
-    EXPECT_EQ(resolveThreadCount(0, 2), 2);
-    // An explicit request wins over the environment.
-    EXPECT_EQ(resolveThreadCount(5), 5);
-    ::unsetenv("PHPF_SIM_THREADS");
-    EXPECT_GE(resolveThreadCount(0), 1);
-}
-
-TEST(LockstepPool, EveryWorkerRunsEachPhase) {
-    LockstepPool pool(4);
-    ASSERT_EQ(pool.threads(), 4);
-    std::vector<std::atomic<int>> hits(4);
-    struct Ctx {
-        std::vector<std::atomic<int>>* hits;
-    } ctx{&hits};
-    for (int phase = 0; phase < 100; ++phase) {
-        pool.run(
-            [](void* c, int w) {
-                (*static_cast<Ctx*>(c)->hits)[static_cast<size_t>(w)]
-                    .fetch_add(1);
-            },
-            &ctx);
-    }
-    for (int w = 0; w < 4; ++w) EXPECT_EQ(hits[static_cast<size_t>(w)], 100);
-    EXPECT_GT(pool.busyNs(), 0);
-}
-
-TEST(LockstepPool, SingleThreadDegradesToPlainCall) {
-    LockstepPool pool(1);
-    int calls = 0;
-    auto task = [&](int w) {
-        EXPECT_EQ(w, 0);
-        ++calls;
-    };
-    pool.runOn(task);
-    pool.runOn(task);
-    EXPECT_EQ(calls, 2);
-}
-
-TEST(LockstepPool, ChunksPartitionTheRange) {
-    for (const std::int64_t n : {0, 1, 7, 64, 1000}) {
-        for (const int t : {1, 2, 3, 8}) {
-            std::int64_t covered = 0;
-            std::int64_t prevEnd = 0;
-            for (int w = 0; w < t; ++w) {
-                const auto [b, e] = LockstepPool::chunkOf(n, w, t);
-                EXPECT_EQ(b, prevEnd);  // contiguous, in order
-                EXPECT_LE(b, e);
-                covered += e - b;
-                prevEnd = e;
-            }
-            EXPECT_EQ(covered, n);
-            EXPECT_EQ(prevEnd, n);
-        }
-    }
-}
-
-TEST(ParallelFor, SumsMatchAcrossPoolSizes) {
-    constexpr std::int64_t kN = 10000;
-    auto sumWith = [](LockstepPool* pool) {
-        std::vector<std::int64_t> partial(pool ? pool->threads() : 1, 0);
-        parallelFor(pool, kN, [&](std::int64_t b, std::int64_t e, int w) {
-            for (std::int64_t i = b; i < e; ++i)
-                partial[static_cast<size_t>(w)] += i;
-        });
-        std::int64_t total = 0;
-        for (const std::int64_t p : partial) total += p;
-        return total;
-    };
-    const std::int64_t expect = kN * (kN - 1) / 2;
-    EXPECT_EQ(sumWith(nullptr), expect);
-    LockstepPool pool(4);
-    EXPECT_EQ(sumWith(&pool), expect);
-}
 
 TEST(TaskPool, ThrowingTaskDoesNotKillWorkers) {
     TaskPool pool(2);
@@ -163,7 +75,7 @@ TEST(InternedEventSet, DeduplicatesOpContextPairs) {
     EXPECT_TRUE(ev.record(0, {1, 1}));
 }
 
-// --- cross-thread determinism of the simulator ------------------------
+// --- determinism of the simulator -------------------------------------
 
 struct SimSnapshot {
     std::int64_t transfers = 0;
@@ -178,9 +90,8 @@ struct SimSnapshot {
 
 SimSnapshot snapshotAt(Compilation& c,
                        const std::function<void(Interpreter&)>& seed,
-                       const std::vector<std::string>& outputs, int threads) {
-    auto sim = c.simulate({.threads = threads, .seed = seed});
-    EXPECT_EQ(sim->threads(), std::min(threads, sim->procCount()));
+                       const std::vector<std::string>& outputs) {
+    auto sim = c.simulate({.seed = seed});
     SimSnapshot s;
     s.transfers = sim->elementTransfers();
     s.events = sim->messageEvents();
@@ -196,8 +107,7 @@ SimSnapshot snapshotAt(Compilation& c,
     return s;
 }
 
-void expectIdentical(const SimSnapshot& a, const SimSnapshot& b, int threads) {
-    SCOPED_TRACE("threads = " + std::to_string(threads));
+void expectIdentical(const SimSnapshot& a, const SimSnapshot& b) {
     EXPECT_EQ(a.transfers, b.transfers);
     EXPECT_EQ(a.events, b.events);
     EXPECT_EQ(a.procStmts, b.procStmts);
@@ -223,10 +133,9 @@ void checkDeterminism(Program& p, const MappingOptions& mapping,
     opts.gridExtents = grid;
     passes.mapping = mapping;
     Compilation c = Compiler::compile(p, opts, passes);
-    const SimSnapshot base = snapshotAt(c, seed, outputs, 1);
+    const SimSnapshot base = snapshotAt(c, seed, outputs);
     for (const double err : base.errors) EXPECT_EQ(err, 0.0);
-    for (const int t : {2, 4})
-        expectIdentical(base, snapshotAt(c, seed, outputs, t), t);
+    expectIdentical(base, snapshotAt(c, seed, outputs));
 }
 
 TEST(SimDeterminism, Fig1AcrossThreadCounts) {
@@ -274,9 +183,8 @@ TEST(SimDeterminism, TomcatvAcrossThreadCounts) {
         checkDeterminism(p, MappingOptions{}, {4}, seed, {"x", "y"});
     }
     {
-        // Replication level: every statement executes on all processors,
-        // the widest lockstep phases the simulator produces — this is
-        // the configuration where the worker pool genuinely splits work.
+        // Replication level: every statement executes on all
+        // processors, the widest phases the simulator produces.
         Program p = programs::tomcatv(10, 2);
         MappingOptions m;
         m.privatization = false;

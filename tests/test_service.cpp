@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <sstream>
@@ -47,19 +48,6 @@ TEST(Fingerprint, DefaultedAndExplicitOptionsCollide) {
 
     EXPECT_EQ(service::canonicalOptionsKey(defaulted, p1),
               service::canonicalOptionsKey(spelledOut, p2));
-}
-
-TEST(Fingerprint, SimThreadsDoesNotSplitTheKey) {
-    // simThreads only changes how fast the functional simulation runs,
-    // never a compilation result, so it must not split cache entries.
-    TargetConfig t;
-    t.gridExtents = {4};
-    PassOptions serial;
-    serial.simThreads = 1;
-    PassOptions wide;
-    wide.simThreads = 8;
-    EXPECT_EQ(service::canonicalOptionsKey(t, serial),
-              service::canonicalOptionsKey(t, wide));
 }
 
 TEST(Fingerprint, SourceFormattingDoesNotSplitTheFingerprint) {
@@ -172,12 +160,6 @@ TEST(Fingerprint, RelaxedMergeSplitsTheKey) {
     PassOptions relaxed = p;
     relaxed.relaxedMerge = true;
     EXPECT_NE(service::canonicalOptionsKey(base, relaxed), baseKey);
-
-    // ...while simThreads still must not split on top of the flag.
-    PassOptions threaded = relaxed;
-    threaded.simThreads = 8;
-    EXPECT_EQ(service::canonicalOptionsKey(base, threaded),
-              service::canonicalOptionsKey(base, relaxed));
 }
 
 TEST(Fingerprint, TargetKindSplitsTheKey) {
@@ -329,6 +311,14 @@ TEST(CompileService, SubmitRunsOnTheWorkerPool) {
     EXPECT_EQ(st.requests, 8);
     EXPECT_EQ(st.compiles, 1);
     EXPECT_EQ(st.cache.hits + st.coalescedJoins, 7);
+}
+
+TEST(CompileService, AutoWorkersIsHardwareConcurrencyClampedToEight) {
+    service::ServiceConfig cfg;
+    cfg.workers = 0;
+    CompileService svc(cfg);
+    const int hw = static_cast<int>(std::thread::hardware_concurrency());
+    EXPECT_EQ(svc.stats().workers, std::clamp(hw, 1, 8));
 }
 
 TEST(CompileService, MetricsJsonCarriesCacheAndStageData) {
@@ -604,8 +594,8 @@ TEST(CompileService, CachedEqualsFreshForEveryTableVariant) {
 
         // Simulation metrics from the cached compilation (simulate() is
         // const — safe on the shared artifact).
-        auto directSim = direct.simulate({.threads = 1});
-        auto cachedSim = hit.artifact->compilation->simulate({.threads = 1});
+        auto directSim = direct.simulate({});
+        auto cachedSim = hit.artifact->compilation->simulate({});
         EXPECT_EQ(cachedSim->messageEvents(), directSim->messageEvents());
         EXPECT_EQ(cachedSim->elementTransfers(),
                   directSim->elementTransfers());
@@ -650,8 +640,8 @@ TEST(CompileService, SharedMemoryArtifactReplaysBitIdentically) {
     EXPECT_EQ(warm.artifact->cost.commBytes, directCost.commBytes);
 
     // Warm simulation replays the cold run's metrics exactly.
-    auto coldSim = direct.simulate({.threads = 1});
-    auto warmSim = warm.artifact->compilation->simulate({.threads = 1});
+    auto coldSim = direct.simulate({});
+    auto warmSim = warm.artifact->compilation->simulate({});
     EXPECT_EQ(warmSim->targetKind(), TargetKind::SharedMemory);
     EXPECT_EQ(warmSim->barrierEvents(), coldSim->barrierEvents());
     EXPECT_GT(warmSim->barrierEvents(), 0);
@@ -779,14 +769,14 @@ TEST(SimulateSpan, ExecSpanStaysInsideTheSimulateSpan) {
     target.gridExtents = {4};
     Compilation c = Compiler::compile(p, target, PassOptions{});
     obs::Tracer tracer;
-    auto sim = c.simulate({.threads = 1, .tracer = &tracer});
+    auto sim = c.simulate({.tracer = &tracer});
     ASSERT_NE(sim, nullptr);
 
     const std::vector<obs::TraceSpan> spans = tracer.snapshot();
     const obs::TraceSpan* exec = nullptr;
     const obs::TraceSpan* simulate = nullptr;
     for (const obs::TraceSpan& s : spans) {
-        if (s.name.rfind("sim-exec", 0) == 0) exec = &s;
+        if (s.name == "sim-exec") exec = &s;
         if (s.name == "simulate") simulate = &s;
     }
     ASSERT_NE(exec, nullptr);

@@ -467,58 +467,39 @@ TEST(TelemetryTracer, SnapshotMergesShardsSortedByStart) {
 }
 
 // ---------------------------------------------------------------------
-// Simulator span parenting across thread counts
+// Simulator spans
 // ---------------------------------------------------------------------
 
 struct SimTraceShape {
-    std::uint64_t execId = 0;
-    std::set<std::string> workerNames;
-    std::set<int> workerTids;
-    bool allParented = true;
+    std::vector<std::string> names;  ///< every span, in snapshot order
+    bool execUnderSimulate = false;
 };
 
-SimTraceShape simShape(int threads) {
+SimTraceShape simShape() {
     Program p = programs::tomcatv(10, 2);
     TargetConfig opts;
     opts.gridExtents = {4};
     Compilation c = Compiler::compile(p, opts);
     Tracer ct;
     SimulationRequest req;
-    req.threads = threads;
     req.tracer = &ct;
     auto sim = c.simulate(req);
     SimTraceShape shape;
+    std::uint64_t simulateId = 0;
     for (const auto& s : ct.snapshot()) {
-        if (s.name.rfind("sim-exec[", 0) == 0) shape.execId = s.id;
+        shape.names.push_back(s.name);
+        if (s.name == "simulate") simulateId = s.id;
     }
-    for (const auto& s : ct.snapshot()) {
-        if (s.name.rfind("sim-worker-", 0) != 0) continue;
-        shape.workerNames.insert(s.name);
-        shape.workerTids.insert(s.tid);
-        if (s.parent != shape.execId || !s.closed()) shape.allParented = false;
-    }
+    for (const auto& s : ct.snapshot())
+        if (s.name == "sim-exec")
+            shape.execUnderSimulate = s.closed() && s.parent == simulateId;
     return shape;
-}
-
-TEST(TelemetrySimSpans, WorkerRowsParentUnderSimExecAtEveryThreadCount) {
-    for (const int threads : {1, 2, 4}) {
-        const SimTraceShape shape = simShape(threads);
-        EXPECT_NE(shape.execId, 0u) << threads << " threads";
-        // Worker 0 is the caller; spawned workers 1..threads-1 record
-        // one span each, every one under the sim-exec span, each from
-        // a distinct thread.
-        std::set<std::string> expect;
-        for (int w = 1; w < threads; ++w)
-            expect.insert("sim-worker-" + std::to_string(w));
-        EXPECT_EQ(shape.workerNames, expect) << threads << " threads";
-        EXPECT_EQ(shape.workerTids.size(), expect.size());
-        EXPECT_TRUE(shape.allParented) << threads << " threads";
-    }
 }
 
 // One tracer end to end, as phpfc runs it: the compile session's tracer
 // also receives the simulation, so exactly one sim-exec span exists, it
-// sits under simulate, and every worker row hangs under it.
+// sits under simulate, and the simulator records no worker rows under
+// it.
 TEST(TelemetrySimSpans, OneSimExecSpanUnderSimulateOwnsEveryWorkerRow) {
     Program p = programs::fig1(32);
     TargetConfig opts;
@@ -526,8 +507,7 @@ TEST(TelemetrySimSpans, OneSimExecSpanUnderSimulateOwnsEveryWorkerRow) {
     CompileSession session;
     session.tracer = std::make_shared<Tracer>();
     Compilation c = Compiler::compile(p, opts, PassOptions{}, session);
-    auto sim = c.simulate({.threads = 4});
-    ASSERT_EQ(sim->threads(), 4);
+    auto sim = c.simulate({});
 
     const std::vector<TraceSpan> spans = session.tracer->snapshot();
     std::vector<const TraceSpan*> execs;
@@ -537,24 +517,19 @@ TEST(TelemetrySimSpans, OneSimExecSpanUnderSimulateOwnsEveryWorkerRow) {
         if (s.name == "simulate") simulate = &s;
     }
     ASSERT_EQ(execs.size(), 1u);
-    EXPECT_EQ(execs[0]->name, "sim-exec[4t]");
+    EXPECT_EQ(execs[0]->name, "sim-exec");
     ASSERT_NE(simulate, nullptr);
     EXPECT_EQ(execs[0]->parent, simulate->id);
-    int workers = 0;
-    for (const TraceSpan& s : spans) {
-        if (s.name.rfind("sim-worker-", 0) != 0) continue;
-        ++workers;
-        EXPECT_EQ(s.parent, execs[0]->id) << s.name;
-    }
-    EXPECT_EQ(workers, 3);
+    for (const TraceSpan& s : spans)
+        EXPECT_NE(s.parent, execs[0]->id) << s.name;
 }
 
 TEST(TelemetrySimSpans, TraceShapeIsDeterministicAcrossRepeats) {
-    const SimTraceShape a = simShape(4);
-    const SimTraceShape b = simShape(4);
-    EXPECT_EQ(a.workerNames, b.workerNames);
-    EXPECT_TRUE(a.allParented);
-    EXPECT_TRUE(b.allParented);
+    const SimTraceShape a = simShape();
+    const SimTraceShape b = simShape();
+    EXPECT_EQ(a.names, b.names);
+    EXPECT_TRUE(a.execUnderSimulate);
+    EXPECT_TRUE(b.execUnderSimulate);
 }
 
 TEST(TelemetrySimSpans, PhaseHistogramsFillWhenTelemetryIsSet) {
@@ -564,7 +539,6 @@ TEST(TelemetrySimSpans, PhaseHistogramsFillWhenTelemetryIsSet) {
     Compilation c = Compiler::compile(p, opts);
     MetricRegistry reg;
     SimulationRequest req;
-    req.threads = 2;
     req.metrics = &reg;
     auto sim = c.simulate(req);
     EXPECT_GT(reg.histogram("sim.phase.eval_us").count(), 0);
@@ -774,20 +748,6 @@ TEST(TelemetryThreadRegistry, TaskPoolWorkersRegisterPrefixedNames) {
         EXPECT_EQ(n.rfind("tp-name-test-", 0), 0u) << n;
     EXPECT_GE(seen.size(), 1u);
     EXPECT_LE(seen.size(), 2u);
-}
-
-TEST(TelemetryThreadRegistry, LockstepPoolWorkersRegisterPrefixedNames) {
-    LockstepPool pool(3, "ls-name-test");
-    std::mutex mu;
-    std::set<std::string> seen;
-    auto task = [&](int w) {
-        if (w == 0) return;  // the caller keeps its own name
-        std::lock_guard<std::mutex> lock(mu);
-        seen.insert(thread_registry::currentName());
-    };
-    pool.runOn(task);
-    EXPECT_EQ(seen, (std::set<std::string>{"ls-name-test-1",
-                                           "ls-name-test-2"}));
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "driver/compiler.h"
+#include "frontend/parser.h"
 #include "programs/programs.h"
 #include "runtime/bytecode.h"
 #include "runtime/vm.h"
@@ -158,8 +159,8 @@ TEST(IndexForm, AffineFormsMatchSubscriptTrees) {
 // (tests/golden/spmd_sim.txt; see sim_golden.h) generated while the
 // tree-walking and bytecode engines ran side by side and agreed on
 // results AND every exposed metric — every kernel and Table 1-3
-// compiler level at 1/2/4 lockstep threads, with the profiler armed,
-// and under checkpoint/crash replay — plus oracle error 0 throughout.
+// compiler level, with the profiler armed, and under checkpoint/crash
+// replay — plus oracle error 0 throughout.
 
 /// Every golden block: tests/golden/spmd_sim.txt, plus the loop-driver
 /// edge cases in tests/golden/loop_kernel.txt (keys "loop/...").
@@ -195,56 +196,48 @@ golden::SimCase kernelNamed(const std::string& id) {
     return {};
 }
 
-void expectGoldenAcrossThreads(const golden::SimCase& k, bool profile) {
+void expectGoldenRun(const golden::SimCase& k, bool profile) {
     Program p = k.build();
     const Compilation c = k.compile(p);
-    for (const int threads : {1, 2, 4}) {
-        SCOPED_TRACE(k.id + " threads=" + std::to_string(threads));
-        auto sim =
-            c.simulate({.threads = threads, .seed = k.seed, .profile = profile});
-        expectGolden(k, c, *sim, k.id + (profile ? "/profile" : ""));
-    }
+    auto sim = c.simulate({.seed = k.seed, .profile = profile});
+    expectGolden(k, c, *sim, k.id + (profile ? "/profile" : ""));
 }
 
 TEST(VmDifferential, EnginesBitIdenticalAcrossKernelsAndThreadCounts) {
     for (const golden::SimCase& k : golden::kernels())
-        expectGoldenAcrossThreads(k, /*profile=*/false);
+        expectGoldenRun(k, /*profile=*/false);
 }
 
 TEST(VmDifferential, PaperTableLevelsMatchGoldens) {
     for (const golden::SimCase& k : golden::paperLevels())
-        expectGoldenAcrossThreads(k, /*profile=*/false);
+        expectGoldenRun(k, /*profile=*/false);
 }
 
 TEST(VmDifferential, ProfilerCountsIdenticalAcrossEngines) {
     // Sample *counts* are part of the record (durations are not).
     for (const golden::SimCase& k : golden::kernels())
-        expectGoldenAcrossThreads(k, /*profile=*/true);
+        expectGoldenRun(k, /*profile=*/true);
 }
 
 /// Runs `k` under proc.crash:nth=17;limit=3 with a checkpoint every 10
-/// instances at 1 and 4 threads against its plain and /crash goldens.
+/// instances against its plain and /crash goldens.
 void expectCrashReplayGolden(const golden::SimCase& k) {
     Program p = k.build();
     const Compilation c = k.compile(p);
-    for (const int threads : {1, 4}) {
-        SCOPED_TRACE(k.id + " threads=" + std::to_string(threads));
-        FaultInjector inj;
-        ASSERT_TRUE(inj.configure("proc.crash:nth=17;limit=3"));
-        auto sim = c.simulate({.threads = threads,
-                               .seed = k.seed,
-                               .faults = &inj,
-                               .checkpointEvery = 10});
-        EXPECT_GT(sim->recoveries(), 0);
-        EXPECT_GT(sim->checkpointsTaken(), 1);
-        // The recovered run is the fault-free run, bit for bit...
-        expectGolden(k, c, *sim, k.id);
-        // ...after the recorded number of restores.
-        expectGolden(k, c, *sim, k.id + "/crash",
-                     "recoveries " + std::to_string(sim->recoveries()) +
-                         "\ncheckpoints " +
-                         std::to_string(sim->checkpointsTaken()) + "\n");
-    }
+    SCOPED_TRACE(k.id);
+    FaultInjector inj;
+    ASSERT_TRUE(inj.configure("proc.crash:nth=17;limit=3"));
+    auto sim =
+        c.simulate({.seed = k.seed, .faults = &inj, .checkpointEvery = 10});
+    EXPECT_GT(sim->recoveries(), 0);
+    EXPECT_GT(sim->checkpointsTaken(), 1);
+    // The recovered run is the fault-free run, bit for bit...
+    expectGolden(k, c, *sim, k.id);
+    // ...after the recorded number of restores.
+    expectGolden(k, c, *sim, k.id + "/crash",
+                 "recoveries " + std::to_string(sim->recoveries()) +
+                     "\ncheckpoints " +
+                     std::to_string(sim->checkpointsTaken()) + "\n");
 }
 
 TEST(VmDifferential, CrashReplayBitIdenticalOnEitherEngine) {
@@ -258,7 +251,7 @@ TEST(VmDifferential, NanInTheOracleCountsAsAMismatch) {
     const golden::SimCase k = kernelNamed("fig1");
     Program p = k.build();
     const Compilation c = k.compile(p);
-    auto sim = c.simulate({.threads = 1, .seed = k.seed});
+    auto sim = c.simulate({.seed = k.seed});
     ASSERT_EQ(sim->maxErrorVsOracle("A"), 0.0);
     std::int64_t flat = 0;
     while (!sim->validOn(0, "A", flat)) ++flat;
@@ -277,12 +270,12 @@ TEST(VmDifferential, NanInTheOracleCountsAsAMismatch) {
 
 TEST(LoopKernel, EdgeCasesMatchGoldensAcrossThreads) {
     for (const golden::SimCase& k : golden::loopEdges())
-        expectGoldenAcrossThreads(k, /*profile=*/false);
+        expectGoldenRun(k, /*profile=*/false);
 }
 
 TEST(LoopKernel, EdgeCasesProfiledMatchGoldens) {
     for (const golden::SimCase& k : golden::loopEdges())
-        expectGoldenAcrossThreads(k, /*profile=*/true);
+        expectGoldenRun(k, /*profile=*/true);
 }
 
 TEST(LoopKernel, EdgeCasesCrashReplayMatchGoldens) {
@@ -307,11 +300,8 @@ TEST(LoopKernel, DriverRunsExactlyTheEligibleLoops) {
     for (const golden::SimCase& k : golden::loopEdges()) {
         Program p = k.build();
         const Compilation c = k.compile(p);
-        for (const int threads : {1, 4}) {
-            auto sim = c.simulate({.threads = threads, .seed = k.seed});
-            EXPECT_EQ(sim->loopKernelInstances(), expected.at(k.id))
-                << k.id << " threads=" << threads;
-        }
+        auto sim = c.simulate({.seed = k.seed});
+        EXPECT_EQ(sim->loopKernelInstances(), expected.at(k.id)) << k.id;
     }
 }
 
@@ -323,7 +313,7 @@ TEST(LoopKernel, LoopVariablesKeepTheirLastIterationValue) {
         if (e.id == "loop/bounds") k = e;
     Program p = k.build();
     const Compilation c = k.compile(p);
-    auto sim = c.simulate({.threads = 1, .seed = k.seed});
+    auto sim = c.simulate({.seed = k.seed});
     ASSERT_EQ(sim->loopKernelInstances(), 42);
     const Program& prog = c.program();
     EXPECT_EQ(sim->oracle().store().get(prog.findSymbol("i")), 28.0);
@@ -344,7 +334,7 @@ TEST(LoopKernel, PaperKernelsRunThroughTheDriver) {
         const std::int64_t n = 128;
         Program p = programs::tomcatv(n, 2);
         const Compilation c = Compiler::compile(p, opts);
-        auto sim = c.simulate({.threads = 4, .seed = [&](Interpreter& o) {
+        auto sim = c.simulate({.seed = [&](Interpreter& o) {
             for (std::int64_t i = 1; i <= n; ++i)
                 for (std::int64_t j = 1; j <= n; ++j) {
                     o.setElement("x", {i, j},
@@ -365,7 +355,7 @@ TEST(LoopKernel, PaperKernelsRunThroughTheDriver) {
         const std::int64_t n = 112;
         Program p = programs::dgefa(n);
         const Compilation c = Compiler::compile(p, opts);
-        auto sim = c.simulate({.threads = 4, .seed = [&](Interpreter& o) {
+        auto sim = c.simulate({.seed = [&](Interpreter& o) {
             for (std::int64_t r = 1; r <= n; ++r)
                 for (std::int64_t col = 1; col <= n; ++col)
                     o.setElement("A", {r, col},
@@ -414,9 +404,9 @@ TEST(RelaxedMerge, IntegerSumsStayExactWithIdenticalCountMetrics) {
     Program p = programs::fig5(12);
     const Compilation c = compileFig5(p);
     auto strict =
-        c.simulate({.threads = 1, .seed = seedFig5, .relaxedMerge = false});
+        c.simulate({.seed = seedFig5, .relaxedMerge = false});
     auto relaxed =
-        c.simulate({.threads = 1, .seed = seedFig5, .relaxedMerge = true});
+        c.simulate({.seed = seedFig5, .relaxedMerge = true});
     EXPECT_FALSE(strict->relaxedMerge());
     EXPECT_TRUE(relaxed->relaxedMerge());
     expectOracleStoresIdentical(*strict, *relaxed);
@@ -432,17 +422,73 @@ TEST(RelaxedMerge, CrashReplayRestoresThePerProcessorCopies) {
     // their validity (strict combines broadcast the oracle's value).
     Program p = programs::fig5(12);
     const Compilation c = compileFig5(p);
-    auto plain =
-        c.simulate({.threads = 1, .seed = seedFig5, .relaxedMerge = true});
+    auto plain = c.simulate({.seed = seedFig5, .relaxedMerge = true});
     FaultInjector inj;
     ASSERT_TRUE(inj.configure("proc.crash:nth=5;limit=40"));
-    auto recovered = c.simulate({.threads = 1,
-                                 .seed = seedFig5,
+    auto recovered = c.simulate({.seed = seedFig5,
                                  .faults = &inj,
                                  .checkpointEvery = 3,
                                  .relaxedMerge = true});
     EXPECT_EQ(recovered->recoveries(), 40);
     EXPECT_EQ(golden::recordOf(c, *recovered), golden::recordOf(c, *plain));
+}
+
+// =====================================================================
+// Divergent instances: a statement that reads a reduction accumulator
+// (a symbol whose per-processor copies may differ) runs the VM once per
+// executor lane, after the same in-place miss application lane-uniform
+// statements use.
+
+TEST(DivergentInstance, TwoSlotsOnOneRemoteElementCostOneTransfer) {
+    // b(n) = s + a(1) * a(1) reads the reduction scalar s, so it is not
+    // lane-uniform. Its one executor (the owner of b(16), processor 3)
+    // misses a(1), held by processor 0, through both slots: one
+    // transfer and one message event, both booked to the first slot's
+    // comm op. Counts recorded before the deferred-miss path was
+    // replaced.
+    DiagEngine diags;
+    Parser parser(R"(program dupslot
+  parameter (n = 16)
+  real a(n), b(n)
+!hpf$ align (i) with a(i) :: b
+!hpf$ distribute (block) :: a
+  s = 0
+  do i = 1, n
+    s = s + a(i)
+  end do
+  b(n) = s + a(1) * a(1)
+end
+)",
+                  diags);
+    Program p = parser.parse();
+    ASSERT_FALSE(diags.hasErrors()) << diags.dump();
+    TargetConfig opts;
+    opts.gridExtents = {4};
+    const Compilation c = Compiler::compile(p, opts);
+    const auto seed = [](Interpreter& o) {
+        for (std::int64_t i = 1; i <= 16; ++i)
+            o.setElement("a", {i}, 0.5 * static_cast<double>(i));
+    };
+    auto sim = c.simulate({.seed = seed, .profile = true});
+    const obs::StmtProfile::Row& row =
+        sim->profile()->row(c.program().top.back()->id);
+    EXPECT_EQ(row.instances, 1);
+    EXPECT_EQ(row.procStmts, 1);
+    EXPECT_EQ(row.elements, 1);
+    EXPECT_EQ(row.events, 1);
+    ASSERT_EQ(c.lowering().commOps().size(), 3u);
+    EXPECT_EQ(sim->elementsOfOp(0), 1);
+    EXPECT_EQ(sim->eventsOfOp(0), 1);
+    EXPECT_EQ(sim->elementsOfOp(1), 0);
+    EXPECT_EQ(sim->eventsOfOp(1), 0);
+    // Plus the reduction combine.
+    EXPECT_EQ(sim->elementTransfers(), 2);
+    EXPECT_EQ(sim->messageEvents(), 2);
+    EXPECT_EQ(sim->procMetrics()[3].recvElements, 2);
+    EXPECT_EQ(sim->procMetrics()[0].sentElements, 1);
+    EXPECT_TRUE(sim->validOn(3, "b", 15));
+    EXPECT_EQ(sim->maxErrorVsOracle("b"), 0.0);
+    EXPECT_EQ(sim->maxErrorVsOracle("s"), 0.0);
 }
 
 TEST(RelaxedMerge, MaxLocReductionsStayExact) {
@@ -453,9 +499,9 @@ TEST(RelaxedMerge, MaxLocReductionsStayExact) {
     Program p = k.build();
     const Compilation c = k.compile(p);
     auto strict =
-        c.simulate({.threads = 1, .seed = k.seed, .relaxedMerge = false});
+        c.simulate({.seed = k.seed, .relaxedMerge = false});
     auto relaxed =
-        c.simulate({.threads = 1, .seed = k.seed, .relaxedMerge = true});
+        c.simulate({.seed = k.seed, .relaxedMerge = true});
     expectOracleStoresIdentical(*strict, *relaxed);
     EXPECT_EQ(strict->elementTransfers(), relaxed->elementTransfers());
     EXPECT_EQ(strict->messageEvents(), relaxed->messageEvents());
